@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation over dense numpy tensors.
 
-The op set covers exactly what the model and losses need: matmul, add/sub,
-elementwise exp/log/mul, gelu, relu, softmax (plain and masked), layer
-normalization, embedding lookup, concatenation, L2 normalization,
-cross-entropy with logits, reductions, and a handful of indexing/reshaping
-helpers. A central finite-difference verifier (`finite_diff_check`) closes
-the loop on every gradient.
+The op set covers exactly what the model and losses need: matmul, fused
+linear (matmul plus bias), add/sub, elementwise exp/log/mul, gelu, relu,
+softmax, fused multi-head attention (optionally masked), layer normalization,
+embedding lookup, L2 normalization, cross-entropy with logits, reductions,
+and a handful of indexing/reshaping helpers. A central finite-difference
+verifier (`finite_diff_check`) closes the loop on every gradient.
 
 Conventions:
 - Tensors wrap float32 or float64 numpy arrays. Training code runs float32;
@@ -20,6 +20,7 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,16 +124,17 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+        # No copy when the dtype matches: gradients are never written in place.
+        t.grad = g.astype(t.data.dtype, copy=False)
     else:
         t.grad = t.grad + g.astype(t.data.dtype, copy=False)
 
 
 def _reduce_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum gradient over leading axes broadcast during the forward pass."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    return g
+    if g.ndim == len(shape):
+        return g
+    return g.reshape((-1,) + tuple(shape)).sum(axis=0)
 
 
 def _check_trailing_broadcast(op: str, a: Tensor, b: Tensor) -> None:
@@ -149,14 +151,6 @@ def _check_trailing_broadcast(op: str, a: Tensor, b: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # construction helpers
 # ---------------------------------------------------------------------------
-
-def tensor(data, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
-def zeros(shape, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
 
 def full(shape, value: float, dtype=np.float32) -> Tensor:
     return Tensor(np.full(shape, value, dtype=dtype))
@@ -253,13 +247,14 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 def gelu(a: Tensor) -> Tensor:
     """Tanh-approximation GELU."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    # Products, not `**`: a float32 power goes through pow and costs ~100x more.
+    inner = _GELU_C * (x + 0.044715 * x * x * x)
     t = np.tanh(inner)
     out_data = (0.5 * x * (1.0 + t)).astype(a.dtype)
 
     def backward_fn(g):
-        sech2 = 1.0 - t ** 2
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+        sech2 = 1.0 - t * t
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
         grad = 0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner
         _accumulate(a, g * grad)
 
@@ -276,15 +271,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}: {e}") from None
 
-    def backward_fn(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accumulate(a, _reduce_to_shape(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accumulate(b, _reduce_to_shape(gb, b.shape))
+    return _make(out_data, (a, b), lambda g: _matmul_backward(a, b, g))
 
-    return _make(out_data, (a, b), backward_fn)
+
+def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    if a.requires_grad:
+        _accumulate(a, _reduce_to_shape(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+    if b.requires_grad and b.data.ndim == 2:  # one GEMM over all of a's leading axes
+        _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+    elif b.requires_grad:
+        _accumulate(b, _reduce_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node: x (..., in), w (in, out), b (out,)."""
+    if w.data.ndim != 2 or b.shape != w.shape[1:] or x.shape[-1:] != w.shape[:1]:
+        raise ShapeError(f"linear: {x.shape} @ {w.shape} + {b.shape} do not conform")
+    out_data = np.matmul(x.data, w.data)
+    out_data += b.data
+
+    def backward_fn(g):
+        _matmul_backward(x, w, g)
+        _accumulate(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
+
+    return _make(out_data, (x, w, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -320,23 +330,6 @@ def index(a: Tensor, key) -> Tensor:
         _accumulate(a, ga)
 
     return _make(np.array(out_data, copy=True), (a,), backward_fn)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat: empty input list")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(sl)])
-
-    return _make(out_data, tuple(tensors), backward_fn)
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -391,22 +384,49 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(p, (a,), backward_fn)
 
 
-def masked_softmax(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax over positions where mask is True; masked weights are exactly 0."""
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
-    if not mask.any(axis=axis).all():
-        raise DegenerateInputError("masked_softmax: some row has no unmasked entry")
-    neg = np.finfo(a.dtype).min
-    shifted = np.where(mask, a.data, neg)
-    m = shifted.max(axis=axis, keepdims=True)
-    e = np.where(mask, np.exp(a.data - m), 0.0)
-    p = (e / e.sum(axis=axis, keepdims=True)).astype(a.dtype)
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+              mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(D / n_heads)) v as one node.
+
+    q is (N, L, D), k and v (N, M, D). `mask` is None or an (L, M) bool array;
+    masked keys get exactly zero weight, and a query row with no unmasked key
+    is rejected. The backward pass needs only q, k, v and the weights.
+    """
+    if q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape \
+            or k.shape[::2] != q.shape[::2] or q.shape[2] % n_heads:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, {n_heads} heads")
+    (n, l, d), m = q.shape, k.shape[1]
+    dh = d // n_heads
+    scale_factor = 1.0 / math.sqrt(dh)
+
+    def heads(x: np.ndarray) -> np.ndarray:  # (N, rows, D) -> (N, heads, rows, D / heads)
+        return x.reshape(n, -1, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        return x.transpose(0, 2, 1, 3).reshape(n, -1, d)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    s = np.matmul(qh, kh.swapaxes(-1, -2))
+    s *= scale_factor
+    if mask is not None:
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), (l, m))
+        if not mask.any(axis=-1).all():
+            raise DegenerateInputError("attention: some query row has no unmasked key")
+        s = np.where(mask, s, -np.inf)
+    s -= s.max(axis=-1, keepdims=True)
+    p = np.exp(s, out=s)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
-        dot = (g * p).sum(axis=axis, keepdims=True)
-        _accumulate(a, p * (g - dot))
+        gh = heads(g)
+        dp = np.matmul(gh, vh.swapaxes(-1, -2))
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+        ds *= scale_factor
+        _accumulate(q, merge(np.matmul(ds, kh)))
+        _accumulate(k, merge(np.matmul(ds.swapaxes(-1, -2), qh)))
+        _accumulate(v, merge(np.matmul(p.swapaxes(-1, -2), gh)))
 
-    return _make(p, (a,), backward_fn)
+    return _make(merge(np.matmul(p, vh)), (q, k, v), backward_fn)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -500,12 +520,6 @@ def mean(a: Tensor, axis=None) -> Tensor:
             _accumulate(a, np.broadcast_to(np.expand_dims(g / count, axis), a.shape).copy())
 
     return _make(np.asarray(out_data, dtype=a.dtype), (a,), backward_fn)
-
-
-def masked_attention_scores(q: Tensor, k: Tensor, mask: np.ndarray, scale_factor: float) -> Tensor:
-    """softmax(q @ k^T * scale) with masked positions carrying exactly zero weight."""
-    scores = scale(matmul(q, swapaxes(k, -1, -2)), scale_factor)
-    return masked_softmax(scores, mask, axis=-1)
 
 
 # ---------------------------------------------------------------------------

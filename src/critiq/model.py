@@ -215,10 +215,14 @@ class ModelParams:
                 raise ckpt.CheckpointError(f"{path}: missing '{key}'")
             cfg_fields[f.name] = raw[key]
         cfg = ModelConfig.from_dict(cfg_fields)
-        if expected_config is not None and cfg != expected_config:
-            cfg = expected_config  # validate stored tensors against the caller's config
-        shapes = cls._registry_shapes(cfg)
+        # shapes first, so a size mismatch names its tensor; then what shapes miss (n_heads)
+        shapes = cls._registry_shapes(expected_config or cfg)
         ckpt.validate_names(raw, shapes, path)
+        diffs = [f"{k} (stored {v}, expected {getattr(expected_config, k)})"
+                 for k, v in cfg.to_dict().items()
+                 if expected_config is not None and v != getattr(expected_config, k)]
+        if diffs:
+            raise ckpt.CheckpointError(f"{path}: model config differs: {', '.join(diffs)}")
         tensors = {name: Tensor(raw[name].astype(dtype, copy=True), requires_grad=True)
                    for name in shapes}
         extra = {n: a for n, a in raw.items() if n not in shapes}
@@ -251,42 +255,17 @@ def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 def _linear(x: Tensor, params: ModelParams, w: str, b: str) -> Tensor:
-    return ad.add(ad.matmul(x, params[w]), params[b])
+    return ad.linear(x, params[w], params[b])
 
 
-def _self_attention(x: Tensor, params: ModelParams, prefix: str, n_heads: int,
-                    mask: np.ndarray | None) -> Tensor:
-    n, l, d = x.shape
-    dh = d // n_heads
+def _attention(x: Tensor, params: ModelParams, prefix: str, n_heads: int,
+               mask: np.ndarray | None = None, memory: Tensor | None = None) -> Tensor:
+    """Multi-head attention from x to itself, or to `memory` when given."""
+    kv = x if memory is None else memory
     q = _linear(x, params, f"{prefix}/wq", f"{prefix}/bq")
-    k = _linear(x, params, f"{prefix}/wk", f"{prefix}/bk")
-    v = _linear(x, params, f"{prefix}/wv", f"{prefix}/bv")
-    q = ad.swapaxes(ad.reshape(q, (n, l, n_heads, dh)), 1, 2)
-    k = ad.swapaxes(ad.reshape(k, (n, l, n_heads, dh)), 1, 2)
-    v = ad.swapaxes(ad.reshape(v, (n, l, n_heads, dh)), 1, 2)
-    if mask is None:
-        mask = np.ones((l, l), dtype=bool)
-    weights = ad.masked_attention_scores(q, k, mask, 1.0 / math.sqrt(dh))
-    out = ad.matmul(weights, v)
-    out = ad.reshape(ad.swapaxes(out, 1, 2), (n, l, d))
-    return _linear(out, params, f"{prefix}/wo", f"{prefix}/bo")
-
-
-def _cross_attention(x: Tensor, memory: Tensor, params: ModelParams, prefix: str,
-                     n_heads: int) -> Tensor:
-    n, l, d = x.shape
-    km = memory.shape[1]
-    dh = d // n_heads
-    q = _linear(x, params, f"{prefix}/wq", f"{prefix}/bq")
-    k = _linear(memory, params, f"{prefix}/wk", f"{prefix}/bk")
-    v = _linear(memory, params, f"{prefix}/wv", f"{prefix}/bv")
-    q = ad.swapaxes(ad.reshape(q, (n, l, n_heads, dh)), 1, 2)
-    k = ad.swapaxes(ad.reshape(k, (n, km, n_heads, dh)), 1, 2)
-    v = ad.swapaxes(ad.reshape(v, (n, km, n_heads, dh)), 1, 2)
-    weights = ad.masked_attention_scores(q, k, np.ones((l, km), dtype=bool),
-                                         1.0 / math.sqrt(dh))
-    out = ad.matmul(weights, v)
-    out = ad.reshape(ad.swapaxes(out, 1, 2), (n, l, d))
+    k = _linear(kv, params, f"{prefix}/wk", f"{prefix}/bk")
+    v = _linear(kv, params, f"{prefix}/wv", f"{prefix}/bv")
+    out = ad.attention(q, k, v, n_heads, mask)
     return _linear(out, params, f"{prefix}/wo", f"{prefix}/bo")
 
 
@@ -298,10 +277,10 @@ def _mlp(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
 def _block(x: Tensor, params: ModelParams, prefix: str, n_heads: int,
            mask: np.ndarray | None = None, memory: Tensor | None = None) -> Tensor:
     h = ad.layer_norm(x, params[f"{prefix}/ln1/g"], params[f"{prefix}/ln1/b"])
-    x = ad.add(x, _self_attention(h, params, f"{prefix}/attn", n_heads, mask))
+    x = ad.add(x, _attention(h, params, f"{prefix}/attn", n_heads, mask))
     if memory is not None:
         h = ad.layer_norm(x, params[f"{prefix}/lnx/g"], params[f"{prefix}/lnx/b"])
-        x = ad.add(x, _cross_attention(h, memory, params, f"{prefix}/xattn", n_heads))
+        x = ad.add(x, _attention(h, params, f"{prefix}/xattn", n_heads, memory=memory))
     h = ad.layer_norm(x, params[f"{prefix}/ln2/g"], params[f"{prefix}/ln2/b"])
     return ad.add(x, _mlp(h, params, f"{prefix}/mlp"))
 
@@ -320,7 +299,7 @@ def encode_image(images, params: ModelParams, cfg: ModelConfig) -> Tensor:
                             f"got {images.shape}")
     flat = patchify(images if not single else images[None], cfg.patch_size)
     x = Tensor(flat.astype(np.float32))
-    x = ad.add(ad.matmul(x, params["patch_proj/w"]), params["patch_proj/b"])
+    x = _linear(x, params, "patch_proj/w", "patch_proj/b")
     x = ad.add(x, params["pos/image"])
     for i in range(cfg.encoder_layers):
         x = _block(x, params, f"enc/{i}", cfg.n_heads)
@@ -449,7 +428,7 @@ def decode_multimodal(tokens, pooled_v: Tensor, params: ModelParams,
     for i in range(cfg.multimodal_layers):
         x = _block(x, params, f"mm/{i}", cfg.n_heads, mask=mask, memory=pooled_v)
     x = ad.layer_norm(x, params["mm/ln_f/g"], params["mm/ln_f/b"])
-    logits = ad.add(ad.matmul(x, params["head/w"]), params["head/b"])
+    logits = _linear(x, params, "head/w", "head/b")
     return ad.index(logits, 0) if single else logits
 
 

@@ -58,14 +58,20 @@ class AdamW:
                 continue
             g = t.grad
             dt = t.data.dtype.type
-            self.m[name] = dt(self.beta1) * self.m[name] + dt(1 - self.beta1) * g
-            self.v[name] = dt(self.beta2) * self.v[name] + dt(1 - self.beta2) * (g * g)
-            m_hat = self.m[name] / dt(bc1)
-            v_hat = self.v[name] / dt(bc2)
-            update = m_hat / (np.sqrt(v_hat) + dt(self.eps))
+            # in place, but in the operation order of m = b1 * m + (1 - b1) * g: bit-identical
+            m, v = self.m[name], self.v[name]
+            m *= dt(self.beta1)
+            m += dt(1 - self.beta1) * g
+            v *= dt(self.beta2)
+            v += dt(1 - self.beta2) * (g * g)
+            denom = np.sqrt(v / dt(bc2))
+            denom += dt(self.eps)
+            update = m / dt(bc1)
+            update /= denom
             if self.weight_decay > 0 and name not in self.no_decay:
-                update = update + dt(self.weight_decay) * t.data
-            t.data = t.data - dt(lr) * update
+                update += dt(self.weight_decay) * t.data
+            update *= dt(lr)
+            t.data = t.data - update
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {"opt/step": np.array(float(self.step_count))}

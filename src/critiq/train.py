@@ -156,13 +156,14 @@ def pretrain(cfg: TrainConfig, manifest_path: str, out_path: str,
                 f"non-finite loss at step {step}: total={float(loss.data)} "
                 f"contrastive={float(loss_con.data)} generative={float(loss_gen.data)}")
         backward(loss, leaves=params.tensors.values())
+        norm = {}
         if cfg.grad_clip > 0:
-            clip_global_norm(params.tensors, cfg.grad_clip)
+            norm["grad_norm"] = clip_global_norm(params.tensors, cfg.grad_clip)
         opt.step(lr)
         params.clamp_log_tau()
         log.add(kind="step", step=step, loss=float(loss.data),
                 loss_con=float(loss_con.data), loss_gen=float(loss_gen.data),
-                tau=float(params.tau().data), lr=lr)
+                tau=float(params.tau().data), lr=lr, **norm)
         done = step + 1
         if cfg.checkpoint_every > 0 and done % cfg.checkpoint_every == 0 and done < cfg.steps:
             params.save(out_path, extra=opt.state_tensors())

@@ -50,11 +50,20 @@ class TestForwardOracles:
         with pytest.raises(ShapeError, match="add"):
             ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
-    def test_masked_softmax_exact_zeros(self):
-        x = Tensor(np.array([[1.0, 100.0], [2.0, 3.0]]))
+    def test_attention_masked_weights_exact_zeros(self):
+        # one-hot values make each output row equal to that query's weights
+        q = Tensor(np.array([[[1.0, 0.0], [2.0, 3.0]]]))
+        k = Tensor(np.array([[[1.0, 0.0], [100.0, 0.0]]]))
+        v = Tensor(np.eye(2)[None])
         mask = np.array([[True, False], [True, True]])
-        p = ad.masked_softmax(x, mask).data
+        p = ad.attention(q, k, v, n_heads=1, mask=mask).data[0]
         assert p[0, 1] == 0.0 and p[0, 0] == 1.0
+
+    def test_attention_fully_masked_row_rejected(self):
+        x = Tensor(np.zeros((1, 2, 4)))
+        mask = np.array([[False, False], [True, True]])
+        with pytest.raises(DegenerateInputError, match="attention"):
+            ad.attention(x, x, x, n_heads=2, mask=mask)
 
     def test_embedding_rejects_out_of_range(self):
         with pytest.raises(ShapeError, match="embedding"):
@@ -136,13 +145,6 @@ def _op_cases():
         proj = _Projector(np.random.default_rng(int(rng.integers(1 << 30))))
         return p, lambda ps: proj(ad.softmax(ps["x"], axis=-1))
 
-    def masked_softmax_case(rng):
-        l = 5
-        mask = np.tril(np.ones((l, l), dtype=bool))
-        p = {"x": t64(rng.normal(size=(l, l), scale=2))}
-        proj = _Projector(np.random.default_rng(int(rng.integers(1 << 30))))
-        return p, lambda ps: proj(ad.masked_softmax(ps["x"], mask))
-
     def layernorm_case(rng):
         p = {"x": t64(rng.normal(size=(3, 6))), "g": t64(rng.normal(size=6)),
              "b": t64(rng.normal(size=6))}
@@ -154,11 +156,6 @@ def _op_cases():
         p = {"table": t64(rng.normal(size=(6, 3)))}
         proj = _Projector(np.random.default_rng(int(rng.integers(1 << 30))))
         return p, lambda ps: proj(ad.embedding(ps["table"], ids))
-
-    def concat_case(rng):
-        p = {"a": t64(rng.normal(size=(2, 3))), "b": t64(rng.normal(size=(4, 3)))}
-        proj = _Projector(np.random.default_rng(int(rng.integers(1 << 30))))
-        return p, lambda ps: proj(ad.concat([ps["a"], ps["b"]], axis=0))
 
     def gather_case(rng):
         idx = rng.integers(0, 4, size=3)
@@ -178,11 +175,25 @@ def _op_cases():
         return p, lambda ps: proj(ad.cross_entropy_with_logits(ps["logits"], targets))
 
     def attention_case(rng):
-        mask = np.tril(np.ones((3, 3), dtype=bool))
-        p = {"q": t64(rng.normal(size=(3, 4))), "k": t64(rng.normal(size=(3, 4)))}
+        # causal self-attention: one tensor is query, key and value
+        mask = np.tril(np.ones((4, 4), dtype=bool))
+        p = {"x": t64(rng.normal(size=(2, 4, 6)))}
         proj = _Projector(np.random.default_rng(int(rng.integers(1 << 30))))
-        return p, lambda ps: proj(
-            ad.masked_attention_scores(ps["q"], ps["k"], mask, 0.5))
+        return p, lambda ps: proj(ad.attention(ps["x"], ps["x"], ps["x"], 2, mask))
+
+    def cross_attention_case(rng):
+        mask = rng.random((3, 5)) < 0.6
+        mask[:, 0] = True
+        p = {"q": t64(rng.normal(size=(2, 3, 4))), "k": t64(rng.normal(size=(2, 5, 4))),
+             "v": t64(rng.normal(size=(2, 5, 4)))}
+        proj = _Projector(np.random.default_rng(int(rng.integers(1 << 30))))
+        return p, lambda ps: proj(ad.attention(ps["q"], ps["k"], ps["v"], 2, mask))
+
+    def unmasked_attention_case(rng):
+        p = {"q": t64(rng.normal(size=(1, 3, 6))), "k": t64(rng.normal(size=(1, 2, 6))),
+             "v": t64(rng.normal(size=(1, 2, 6)))}
+        proj = _Projector(np.random.default_rng(int(rng.integers(1 << 30))))
+        return p, lambda ps: proj(ad.attention(ps["q"], ps["k"], ps["v"], 3))
 
     def batched_matmul_case(rng):
         p = {"a": t64(rng.normal(size=(2, 3, 4))), "b": t64(rng.normal(size=(4, 5)))}
@@ -193,6 +204,12 @@ def _op_cases():
         p = {"a": t64(rng.normal(size=(2, 3, 4))), "b": t64(rng.normal(size=(4,)))}
         proj = _Projector(np.random.default_rng(int(rng.integers(1 << 30))))
         return p, lambda ps: proj(ad.add(ps["a"], ps["b"]))
+
+    def linear_case(rng):
+        p = {"x": t64(rng.normal(size=(2, 3, 4))), "w": t64(rng.normal(size=(4, 5))),
+             "b": t64(rng.normal(size=(5,)))}
+        proj = _Projector(np.random.default_rng(int(rng.integers(1 << 30))))
+        return p, lambda ps: proj(ad.linear(ps["x"], ps["w"], ps["b"]))
 
     return [
         ("add", binary(ad.add)),
@@ -207,18 +224,19 @@ def _op_cases():
         ("gelu", unary(ad.gelu)),
         ("matmul", binary(ad.matmul, shapes=((3, 4), (4, 2)))),
         ("matmul_batched", batched_matmul_case),
+        ("linear", linear_case),
         ("reshape", unary(lambda x: ad.reshape(x, (2, 6)), shape=(3, 4))),
         ("swapaxes", unary(lambda x: ad.swapaxes(x, 0, 1))),
         ("softmax", softmax_case),
-        ("masked_softmax", masked_softmax_case),
         ("layer_norm", layernorm_case),
         ("l2_normalize", unary(ad.l2_normalize, transform=lambda d: d + np.sign(d))),
         ("embedding", embedding_case),
-        ("concat", concat_case),
         ("gather_rows", gather_case),
         ("index", index_case),
         ("cross_entropy", ce_case),
         ("masked_attention", attention_case),
+        ("cross_attention", cross_attention_case),
+        ("unmasked_attention", unmasked_attention_case),
         ("sum", unary(lambda x: ad.sum_(x, axis=0))),
         ("mean", unary(lambda x: ad.mean(x, axis=1))),
         ("mean_all", unary(ad.mean)),
@@ -232,6 +250,63 @@ def test_op_gradients_match_finite_differences(name, builder, seed):
     params, f = builder(rng)
     report = ad.finite_diff_check(f, params)
     assert report.ok, f"{name}: {report}"
+
+
+def _unfused_attention(q, k, v, n_heads, mask):
+    """The reshape/swapaxes/matmul/softmax chain that `ad.attention` replaces;
+    masked scores get an additive -1e300, whose softmax weight is exactly 0."""
+    n, l, d = q.shape
+    m, dh = k.shape[1], d // n_heads
+
+    def heads(x, rows):
+        return ad.swapaxes(ad.reshape(x, (n, rows, n_heads, dh)), 1, 2)
+
+    scores = ad.scale(ad.matmul(heads(q, l), ad.swapaxes(heads(k, m), -1, -2)),
+                      1.0 / np.sqrt(dh))
+    if mask is not None:
+        scores = ad.add(scores, Tensor(np.where(mask, 0.0, -1e300)))
+    out = ad.matmul(ad.softmax(scores, axis=-1), heads(v, m))
+    return ad.reshape(ad.swapaxes(out, 1, 2), (n, l, d))
+
+
+def _assert_same_output_and_grads(fused, unfused, arrays):
+    """float64 outputs and input gradients agree to 1e-12 under a fixed projection."""
+    results = []
+    for op in (fused, unfused):
+        params = {name: t64(a.copy()) for name, a in arrays.items()}
+        out = op(**params)
+        w = Tensor(np.random.default_rng(9).normal(size=out.shape))
+        backward(ad.sum_(ad.mul(out, w)), leaves=params.values())
+        results.append((out.data, {name: p.grad for name, p in params.items()}))
+    (out_f, grads_f), (out_u, grads_u) = results
+    np.testing.assert_allclose(out_f, out_u, rtol=0, atol=1e-12)
+    for name in arrays:
+        np.testing.assert_allclose(grads_f[name], grads_u[name], rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+def test_linear_matches_unfused_chain():
+    rng = np.random.default_rng(5)
+    arrays = {"x": rng.normal(size=(2, 3, 4)), "w": rng.normal(size=(4, 5)),
+              "b": rng.normal(size=5)}
+    _assert_same_output_and_grads(ad.linear, lambda x, w, b: ad.add(ad.matmul(x, w), b),
+                                  arrays)
+
+
+@pytest.mark.parametrize("l,m,mask_kind", [(4, 4, "causal"), (3, 5, "random"), (3, 2, None)])
+def test_attention_matches_unfused_chain(l, m, mask_kind):
+    rng = np.random.default_rng(5)
+    mask = None
+    if mask_kind == "causal":
+        mask = np.tril(np.ones((l, m), dtype=bool))
+    elif mask_kind == "random":
+        mask = rng.random((l, m)) < 0.5
+        mask[:, 0] = True
+    arrays = {"q": rng.normal(size=(2, l, 8)), "k": rng.normal(size=(2, m, 8)),
+              "v": rng.normal(size=(2, m, 8))}
+    _assert_same_output_and_grads(lambda q, k, v: ad.attention(q, k, v, 4, mask),
+                                  lambda q, k, v: _unfused_attention(q, k, v, 4, mask),
+                                  arrays)
 
 
 def test_finite_diff_reports_non_finite_evaluations():

@@ -106,6 +106,22 @@ def test_config_mismatch_names_offending_tensor(tmp_path):
         ModelParams.load(path, expected_config=cfg_b)
 
 
+def test_config_mismatch_with_equal_shapes_names_fields(tmp_path):
+    cfg = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
+                      encoder_layers=1, unimodal_layers=1, multimodal_layers=1,
+                      mlp_dim=32, generative_pool_queries=2, vocab_size=32,
+                      max_text_length=8)
+    path = str(tmp_path / "model.ckpt")
+    ModelParams.initialize(cfg, seed=0).save(path)
+    other = ModelConfig(**{**cfg.to_dict(), "n_heads": 4})
+    with pytest.raises(ckpt.CheckpointError,
+                       match=r"n_heads \(stored 2, expected 4\)") as err:
+        ModelParams.load(path, expected_config=other)
+    assert "hidden_dim" not in str(err.value)
+    loaded, _ = ModelParams.load(path, expected_config=cfg)
+    assert loaded.config == cfg
+
+
 def test_unknown_tensor_name_rejected_on_model_load(tmp_path):
     cfg = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
                       encoder_layers=1, unimodal_layers=1, multimodal_layers=1,

@@ -92,6 +92,22 @@ class TestAdamW:
         expected = np.array([1.0, -2.0]) - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
         np.testing.assert_allclose(p.data, expected, atol=1e-12)
 
+    def test_float32_steps_bitwise_equal_out_of_place_reference(self):
+        rng = np.random.default_rng(6)
+        p = Tensor(rng.normal(size=(4, 5)).astype(np.float32), requires_grad=True)
+        opt = AdamW({"p": p}, weight_decay=0.01)
+        w, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
+        f = np.float32
+        for step in range(1, 6):
+            g = rng.normal(size=(4, 5)).astype(np.float32)
+            p.grad = g.copy()
+            opt.step(0.01)
+            m = f(0.9) * m + f(1 - 0.9) * g
+            v = f(0.999) * v + f(1 - 0.999) * (g * g)
+            update = (m / f(1 - 0.9 ** step)) / (np.sqrt(v / f(1 - 0.999 ** step)) + f(1e-8))
+            w = w - f(0.01) * (update + f(0.01) * w)
+            assert p.data.tobytes() == w.tobytes(), step
+
     def test_decay_is_decoupled_and_skippable(self):
         p = Tensor(np.array([2.0]), requires_grad=True, dtype=np.float64)
         q = Tensor(np.array([2.0]), requires_grad=True, dtype=np.float64)

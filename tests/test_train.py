@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from critiq import checkpoint as ckpt
+from critiq import objectives as obj
+from critiq import tokenizer as tok
 from critiq import zsl
 from critiq.config import TrainConfig
-from critiq.data import load_manifest, save_manifest
+from critiq.data import Batch, load_manifest, save_manifest
 from critiq.model import ModelConfig, ModelParams
 from critiq.synth import SynthSpec, generate_synthetic_corpus
 from critiq.train import (RunLog as RunLogBytes, adapter_finetune, evaluate,
                           export_prompt_cache, load_adapter, pretrain,
-                          vocab_path_for, zsl_score_lines)
+                          pretrain_step_loss, vocab_path_for, zsl_score_lines)
 from critiq.util import sha256_file
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
@@ -61,6 +63,13 @@ class TestPretrain:
             assert abs(r["lr"] - 1e-3 * (1 - r["step"] / 6)) < 1e-12
             assert r["tau"] > 0
             assert {"loss", "loss_con", "loss_gen"} <= set(r)
+
+    def test_log_records_pre_clip_grad_norm(self, trained, corpus, tmp_path):
+        steps = [r for r in trained[2].records if r["kind"] == "step"]
+        assert all(math.isfinite(r["grad_norm"]) and r["grad_norm"] > 0 for r in steps)
+        _, unclipped, _ = pretrain(tiny_cfg(steps=2, grad_clip=0.0), corpus,
+                                   str(tmp_path / "m.ckpt"))
+        assert all("grad_norm" not in r for r in unclipped.records)
 
     def test_zero_step_run_keeps_init_bitwise(self, corpus, tmp_path):
         out = str(tmp_path / "zero.ckpt")
@@ -108,6 +117,26 @@ class TestPretrain:
         evals = [r for r in log.records if r["kind"] == "eval"]
         assert len(evals) == 2
         assert all("zsl_srcc" in r and "zsl_plcc" in r for r in evals)
+
+
+def test_desk_default_step_graph_size():
+    """One pretraining step at the desk defaults builds at most 301 graph nodes
+    (leaves included); the count depends on the architecture, not the batch."""
+    cfg = TrainConfig()
+    params = ModelParams.initialize(cfg.model, seed=0)
+    size = cfg.model.image_size
+    batch = Batch(ids=["a", "b"], images=np.zeros((2, size, size, 3), dtype=np.float32),
+                  gen_tokens=np.array([[tok.BOS, 7, 8, tok.EOS], [tok.BOS, 9, tok.EOS, tok.PAD]]),
+                  con_tokens=[[7, 8, tok.CLS], [9, tok.CLS]])
+    loss, _, _ = pretrain_step_loss(batch, params, cfg.model,
+                                    obj.LossWeights(alpha=cfg.alpha, beta=cfg.beta))
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    assert len(seen) <= 301
 
 
 class TestResumeEquality:
