@@ -129,19 +129,12 @@ def _run(args) -> int:
         return 0
 
     if args.command == "caption":
-        from .data import load_manifest, record_image_path
-        from .imageio import read_image
-        from .model import ModelParams, generate_caption
-        from .tokenizer import Vocabulary
-        from .train import center_crop, vocab_path_for
-        params, _ = ModelParams.load(args.checkpoint)
-        vocab = Vocabulary.load(vocab_path_for(args.checkpoint))
+        from .data import load_manifest
+        from .train import caption_images, load_backbone
+        params, vocab = load_backbone(args.checkpoint)
         records = load_manifest(args.manifest)
-        lines = []
-        for rec in records:
-            image = center_crop(read_image(record_image_path(rec, args.manifest)),
-                                params.config.image_size)
-            lines.append(f"{rec.id}\t{generate_caption(image, params, params.config, vocab, max_len=args.max_len)}")
+        captions = caption_images(params, vocab, records, args.manifest, args.max_len)
+        lines = [f"{rec.id}\t{caption}" for rec, caption in zip(records, captions)]
         write_atomic(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
         print(f"wrote captions -> {args.out}")
         return 0

@@ -100,7 +100,6 @@ def sample_comment(record: ManifestRecord, rng: np.random.Generator,
 class AugmentationConfig:
     source_size: int = 40
     crop_size: int = 32
-    horizontal_flip: bool = True
     enabled: bool = True
 
     def __post_init__(self):
@@ -111,7 +110,7 @@ class AugmentationConfig:
 
 def augment(image: np.ndarray, cfg: AugmentationConfig,
             rng: np.random.Generator) -> np.ndarray:
-    """Random crop then optional horizontal flip; disabled -> center crop."""
+    """Random crop then a coin-flip horizontal flip; disabled -> center crop."""
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[0] != cfg.source_size or image.shape[1] != cfg.source_size:
         raise ValueError(f"augment: expected ({cfg.source_size}, {cfg.source_size}, C) "
@@ -123,7 +122,7 @@ def augment(image: np.ndarray, cfg: AugmentationConfig,
     else:
         dy = dx = span // 2
     out = image[dy:dy + cfg.crop_size, dx:dx + cfg.crop_size]
-    if cfg.enabled and cfg.horizontal_flip and rng.random() < 0.5:
+    if cfg.enabled and rng.random() < 0.5:
         out = out[:, ::-1]
     return np.ascontiguousarray(out)
 
@@ -134,8 +133,6 @@ class Batch:
     images: np.ndarray                 # (N, crop, crop, C) float32
     gen_tokens: np.ndarray             # (N, Lg) PAD-aligned generative encodings
     con_tokens: list[list[int]]        # contrastive encodings, CLS-terminated
-    mos: np.ndarray | None = None
-    styles: np.ndarray | None = None   # (N, NUM_STYLES) multi-hot
 
     @property
     def size(self) -> int:
@@ -153,8 +150,7 @@ def _pad_gen(seqs: list[list[int]]) -> np.ndarray:
 def make_batches(records: list[ManifestRecord], batch_size: int,
                  vocab: tok.Vocabulary, aug_cfg: AugmentationConfig,
                  seed: int, epoch: int, manifest_path: str,
-                 max_text_length: int = 64, fixed_comment: bool = False,
-                 require_comments: bool = True):
+                 max_text_length: int = 64, fixed_comment: bool = False):
     """Yield PAD-aligned batches for one epoch; the last partial batch is kept.
 
     The stream is a pure function of (records, batch_size, seed, epoch,
@@ -169,32 +165,18 @@ def make_batches(records: list[ManifestRecord], batch_size: int,
     order = rng.permutation(len(records))
     for start in range(0, len(records), batch_size):
         chunk = [records[i] for i in order[start:start + batch_size]]
-        ids, images, gen_seqs, con_seqs, mos, styles = [], [], [], [], [], []
-        any_mos = any(r.mos is not None for r in chunk)
-        any_styles = any(r.styles is not None for r in chunk)
+        ids, images, gen_seqs, con_seqs = [], [], [], []
         for rec in chunk:
-            if require_comments and not rec.comments:
-                raise ValueError(f"record {rec.id!r} has no comments but comments "
-                                 "are required for this stage")
             image = read_image(record_image_path(rec, manifest_path))
             images.append(augment(image, aug_cfg, rng))
-            text = sample_comment(rec, rng, fixed=fixed_comment) if rec.comments else ""
+            text = sample_comment(rec, rng, fixed=fixed_comment)
             gen_seqs.append(tok.encode(text, vocab, "generative", max_text_length))
             con_seqs.append(tok.encode(text, vocab, "contrastive", max_text_length))
             ids.append(rec.id)
-            if any_mos:
-                mos.append(rec.mos if rec.mos is not None else math.nan)
-            if any_styles:
-                hot = np.zeros(NUM_STYLES, dtype=np.float32)
-                for s in rec.styles or []:
-                    hot[s] = 1.0
-                styles.append(hot)
         yield Batch(ids=ids,
                     images=np.stack(images).astype(np.float32),
                     gen_tokens=_pad_gen(gen_seqs),
-                    con_tokens=con_seqs,
-                    mos=np.array(mos, dtype=np.float64) if any_mos else None,
-                    styles=np.stack(styles) if any_styles else None)
+                    con_tokens=con_seqs)
 
 
 def steps_per_epoch(n_records: int, batch_size: int) -> int:

@@ -361,24 +361,16 @@ def _run_unimodal(ids: np.ndarray, params: ModelParams, cfg: ModelConfig) -> Ten
     return ad.layer_norm(x, params["uni/ln_f/g"], params["uni/ln_f/b"])
 
 
-@dataclass
-class UnimodalTextState:
-    hidden: Tensor      # (L, D), positions 1..L then CLS last
-    cls_index: int
-
-    @property
-    def cls_output(self) -> Tensor:
-        return ad.index(self.hidden, self.cls_index)
-
-
 def encode_text_unimodal(tokens: list[int], params: ModelParams,
-                         cfg: ModelConfig) -> UnimodalTextState:
-    """Causally-masked pass over a contrastive-mode sequence (ends in CLS)."""
+                         cfg: ModelConfig) -> Tensor:
+    """Causally-masked pass over a contrastive-mode sequence (ends in CLS).
+
+    Returns the (L, D) hidden states; the last row is the CLS output."""
     if not tokens or tokens[-1] != tok.CLS:
         raise ValueError("encode_text_unimodal: sequence must end in CLS")
     ids = np.asarray([tokens], dtype=np.int64)
     w = _run_unimodal(ids, params, cfg)
-    return UnimodalTextState(hidden=ad.index(w, 0), cls_index=len(tokens) - 1)
+    return ad.index(w, 0)
 
 
 def encode_text_batch(seqs: list[list[int]], params: ModelParams,
@@ -387,17 +379,6 @@ def encode_text_batch(seqs: list[list[int]], params: ModelParams,
     ids, lengths = _pad_sequences(seqs)
     w = _run_unimodal(ids, params, cfg)
     return ad.gather_rows(w, lengths - 1)
-
-
-def contrastive_embeddings(image, tokens: list[int], params: ModelParams,
-                           cfg: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Unit-norm (image, text) embedding pair for one sample."""
-    v = encode_image(image, params, cfg)
-    pooled = pool_image(v, params, "con")
-    x = ad.l2_normalize(ad.index(pooled, 0))
-    state = encode_text_unimodal(tokens, params, cfg)
-    y = ad.l2_normalize(state.cls_output)
-    return x, y
 
 
 def image_embedding_batch(images, params: ModelParams, cfg: ModelConfig) -> Tensor:

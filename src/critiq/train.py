@@ -39,6 +39,8 @@ from .util import sha256_file, write_atomic
 
 ANCHOR_PROMPT = "good image"
 TASKS = ("iaa", "zsl-iaa", "zsl-style", "caption")
+EMBED_CHUNK = 64
+ADAPTER_HASH_KEY = "meta/backbone_sha256"
 
 
 @dataclass
@@ -64,6 +66,12 @@ class RunLog:
 
 def vocab_path_for(checkpoint_path: str) -> str:
     return checkpoint_path + ".vocab"
+
+
+def load_backbone(path: str) -> tuple[ModelParams, tok.Vocabulary]:
+    """A pretrained checkpoint's parameters and the vocabulary saved beside it."""
+    params, _ = ModelParams.load(path)
+    return params, tok.Vocabulary.load(vocab_path_for(path))
 
 
 def center_crop(image: np.ndarray, size: int) -> np.ndarray:
@@ -169,28 +177,27 @@ def pretrain(cfg: TrainConfig, manifest_path: str, out_path: str,
             params.save(out_path, extra=opt.state_tensors())
             vocab.save(vocab_path_for(out_path))
         if cfg.eval_every > 0 and done % cfg.eval_every == 0:
-            snap = _zsl_snapshot(params, cfg.model, vocab, records, manifest_path)
-            if snap is not None:
-                log.add(kind="eval", step=step, **snap)
+            log.add(kind="eval", step=step,
+                    **_zsl_snapshot(params, vocab, records, manifest_path))
     params.save(out_path, extra=opt.state_tensors())
     vocab.save(vocab_path_for(out_path))
     return params, log, vocab
 
 
-def _zsl_snapshot(params, model_cfg, vocab, records, manifest_path):
+def _zsl_snapshot(params, vocab, records, manifest_path) -> dict:
+    """Zero-shot SRCC/PLCC on the labelled records, or why they are undefined."""
     labeled = [r for r in records if r.mos is not None]
     if len(labeled) < 2:
-        return None
-    v = embed_images(params, model_cfg, labeled, manifest_path)
-    table = zsl.embed_bank(PromptBank.default(), params, model_cfg, vocab)
-    pairs = zsl.pair_embeddings(PromptBank.default(), table)
-    unit = v / np.linalg.norm(v, axis=1, keepdims=True)
-    scores = [zsl.zsl_iaa_ensemble(u, pairs) for u in unit]
+        return {"skipped": f"{len(labeled)} records carry a mos label; need at least 2"}
+    v = embed_images(params, params.config, labeled, manifest_path)
+    bank = PromptBank.default()
+    table = zsl.embed_bank(bank, params, params.config, vocab)
+    scores = zsl.iaa_scores(v, zsl.pair_embeddings(bank, table), "ensemble")
     mos = [r.mos for r in labeled]
     try:
         return {"zsl_srcc": met.srcc(scores, mos), "zsl_plcc": met.plcc(scores, mos)}
-    except ValueError:
-        return None
+    except ValueError as e:
+        return {"skipped": str(e)}
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +205,12 @@ def _zsl_snapshot(params, model_cfg, vocab, records, manifest_path):
 # ---------------------------------------------------------------------------
 
 def embed_images(params: ModelParams, cfg: ModelConfig, records: list[ManifestRecord],
-                 manifest_path: str, chunk: int = 64) -> np.ndarray:
+                 manifest_path: str) -> np.ndarray:
     """Frozen, unnormalized contrastive image embeddings via center crops."""
     out = np.zeros((len(records), cfg.hidden_dim), dtype=np.float32)
     with ad.no_grad():
-        for start in range(0, len(records), chunk):
-            part = records[start:start + chunk]
+        for start in range(0, len(records), EMBED_CHUNK):
+            part = records[start:start + EMBED_CHUNK]
             images = np.stack([
                 center_crop(read_image(record_image_path(r, manifest_path)),
                             cfg.image_size)
@@ -212,32 +219,22 @@ def embed_images(params: ModelParams, cfg: ModelConfig, records: list[ManifestRe
     return out
 
 
-def compute_anchor(params: ModelParams, cfg: ModelConfig,
-                   vocab: tok.Vocabulary) -> np.ndarray:
-    return zsl.embed_prompt(ANCHOR_PROMPT, params, cfg, vocab)
-
-
 def adapter_finetune(cfg: TrainConfig, manifest_path: str, backbone_path: str,
                      out_path: str) -> tuple[obj.AdapterState, RunLog, dict]:
     if cfg.stage != "adapt":
         raise ValueError(f"adapter_finetune called with stage={cfg.stage!r}")
     records = load_manifest(manifest_path)
-    missing = [r.id for r in records if r.mos is None]
-    if missing:
-        raise ValueError(f"adapter finetuning needs mos labels; missing for "
-                         f"{missing[:5]} (and {max(0, len(missing) - 5)} more)")
-    params, _ = ModelParams.load(backbone_path)
-    vocab = tok.Vocabulary.load(vocab_path_for(backbone_path))
+    labels = _require_mos(records, "adapter finetuning")
+    params, vocab = load_backbone(backbone_path)
     backbone_before = {n: t.data.tobytes() for n, t in params.items()}
 
     embeddings = embed_images(params, params.config, records, manifest_path)
-    anchor = compute_anchor(params, params.config, vocab)
+    anchor = zsl.embed_prompt(ANCHOR_PROMPT, params, params.config, vocab)
     adapter = obj.AdapterState.zero_init(
         anchor, margin=cfg.margin, use_residual=cfg.use_residual,
         use_text_anchor=cfg.use_text_anchor, anchor_init_seed=cfg.seed)
     trainable = adapter.trainable()
     opt = AdamW(trainable, weight_decay=cfg.weight_decay, no_decay=())
-    labels = np.array([r.mos for r in records], dtype=np.float64)
 
     spe = steps_per_epoch(len(records), cfg.batch_size)
     log = RunLog()
@@ -288,7 +285,7 @@ def adapter_finetune(cfg: TrainConfig, manifest_path: str, backbone_path: str,
     return adapter, log, info
 
 
-def save_adapter(adapter: obj.AdapterState, path: str, backbone_path: str | None = None) -> None:
+def save_adapter(adapter: obj.AdapterState, path: str, backbone_path: str) -> None:
     tensors: dict[str, np.ndarray] = {
         "adapter/residual": adapter.residual.data,
         "adapter/anchor": adapter.anchor,
@@ -298,18 +295,23 @@ def save_adapter(adapter: obj.AdapterState, path: str, backbone_path: str | None
     }
     if adapter.learnable_anchor is not None:
         tensors["adapter/learnable_anchor"] = adapter.learnable_anchor.data
-    if backbone_path is not None:
-        tensors["meta/backbone_sha256"] = np.frombuffer(
-            sha256_file(backbone_path), dtype=np.uint8).astype(np.float64)
+    tensors[ADAPTER_HASH_KEY] = np.frombuffer(
+        sha256_file(backbone_path), dtype=np.uint8).astype(np.float64)
     ckpt.save(tensors, path)
 
 
-def load_adapter(path: str) -> obj.AdapterState:
+def load_adapter(path: str, backbone_hash: bytes) -> obj.AdapterState:
+    """Load an adapter, checking it was trained on the backbone whose
+    checkpoint SHA-256 is `backbone_hash`."""
     raw = ckpt.load(path)
     for key in ("adapter/residual", "adapter/anchor", "meta/margin",
-                "meta/use_residual", "meta/use_text_anchor"):
+                "meta/use_residual", "meta/use_text_anchor", ADAPTER_HASH_KEY):
         if key not in raw:
             raise ckpt.CheckpointError(f"{path}: missing tensor '{key}'")
+    if bytes(raw[ADAPTER_HASH_KEY].astype(np.uint8)) != backbone_hash:
+        raise ckpt.CheckpointError(f"{path}: '{ADAPTER_HASH_KEY}' does not match the "
+                                   "backbone checkpoint; the adapter was trained on "
+                                   "another backbone")
     use_text_anchor = bool(raw["meta/use_text_anchor"])
     learnable = None
     if not use_text_anchor:
@@ -334,6 +336,26 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def prompt_table(backbone_path: str, params: ModelParams, vocab: tok.Vocabulary,
+                 prompt_cache: str | None) -> dict[str, np.ndarray]:
+    """Default-bank prompt embeddings: the cache, checked against the backbone
+    checkpoint, when one is given; otherwise embedded fresh."""
+    if prompt_cache is not None:
+        return zsl.load_prompt_cache(prompt_cache, sha256_file(backbone_path))
+    return zsl.embed_bank(PromptBank.default(), params, params.config, vocab)
+
+
+def caption_images(params: ModelParams, vocab: tok.Vocabulary,
+                   records: list[ManifestRecord], manifest_path: str,
+                   max_len: int) -> list[str]:
+    """Greedy caption of each record's center crop, in record order."""
+    cfg = params.config
+    return [generate_caption(center_crop(read_image(record_image_path(r, manifest_path)),
+                                         cfg.image_size),
+                             params, cfg, vocab, max_len=max_len)
+            for r in records]
+
+
 def evaluate(backbone_path: str, manifest_path: str, tasks,
              adapter_path: str | None = None, mode: str = "ensemble",
              prompt_cache: str | None = None, caption_max_len: int = 16
@@ -342,30 +364,24 @@ def evaluate(backbone_path: str, manifest_path: str, tasks,
     for t in tasks:
         if t not in TASKS:
             raise ValueError(f"unknown task {t!r}; expected a subset of {TASKS}")
-    params, _ = ModelParams.load(backbone_path)
-    cfg = params.config
-    vocab = tok.Vocabulary.load(vocab_path_for(backbone_path))
+    params, vocab = load_backbone(backbone_path)
     records = load_manifest(manifest_path)
     if not records:
         raise ValueError(f"{manifest_path}: empty manifest")
     results: dict = {}
     lines = ["evaluation report", f"manifest: {manifest_path}", f"n: {len(records)}"]
 
-    needs_embeddings = any(t in tasks for t in ("iaa", "zsl-iaa", "zsl-style"))
-    v_all = embed_images(params, cfg, records, manifest_path) if needs_embeddings else None
-    table = None
+    if any(t in tasks for t in ("iaa", "zsl-iaa", "zsl-style")):
+        v_all = embed_images(params, params.config, records, manifest_path)
     if "zsl-iaa" in tasks or "zsl-style" in tasks:
         bank = PromptBank.default()
-        if prompt_cache is not None:
-            table = zsl.load_prompt_cache(prompt_cache, sha256_file(backbone_path))
-        else:
-            table = zsl.embed_bank(bank, params, cfg, vocab)
+        table = prompt_table(backbone_path, params, vocab, prompt_cache)
 
     if "iaa" in tasks:
         if adapter_path is None:
             raise ValueError("task 'iaa' requires an adapter checkpoint")
-        mos = _require_mos(records, "iaa")
-        adapter = load_adapter(adapter_path)
+        mos = _require_mos(records, "task 'iaa'")
+        adapter = load_adapter(adapter_path, sha256_file(backbone_path))
         with ad.no_grad():
             scores = obj.score_images(Tensor(v_all), adapter).data.astype(np.float64)
         results["iaa"] = {"srcc": met.srcc(scores, mos), "plcc": met.plcc(scores, mos)}
@@ -373,32 +389,19 @@ def evaluate(backbone_path: str, manifest_path: str, tasks,
                      f"plcc={_fmt(results['iaa']['plcc'])}")
 
     if "zsl-iaa" in tasks:
-        mos = _require_mos(records, "zsl-iaa")
-        bank = PromptBank.default()
-        pairs = zsl.pair_embeddings(bank, table)
-        unit = v_all / np.linalg.norm(v_all, axis=1, keepdims=True)
-        if mode == "ensemble":
-            scores = [zsl.zsl_iaa_ensemble(u, pairs) for u in unit]
-        else:
-            scores = [zsl.zsl_iaa_single(u, pairs[0]) for u in unit]
+        mos = _require_mos(records, "task 'zsl-iaa'")
+        scores = zsl.iaa_scores(v_all, zsl.pair_embeddings(bank, table), mode)
         results["zsl-iaa"] = {"srcc": met.srcc(scores, mos),
                               "plcc": met.plcc(scores, mos), "mode": mode}
         lines.append(f"task zsl-iaa: mode={mode} srcc={_fmt(results['zsl-iaa']['srcc'])} "
                      f"plcc={_fmt(results['zsl-iaa']['plcc'])}")
 
     if "zsl-style" in tasks:
-        bank = PromptBank.default()
         if not any(r.styles for r in records):
             raise ValueError("task 'zsl-style' requires style labels in the manifest")
-        styles = zsl.style_embeddings(bank, table)
-        unit = v_all / np.linalg.norm(v_all, axis=1, keepdims=True)
-        names = bank.style_names
-        score_mat = np.zeros((len(records), len(names)))
-        for i, u in enumerate(unit):
-            per = zsl.zsl_style_scores(u, styles, mode)
-            score_mat[i] = [per[name] for name in names]
+        score_mat = zsl.style_scores(v_all, zsl.style_embeddings(bank, table), mode)
         per_class = {}
-        for j, name in enumerate(names):
+        for j, name in enumerate(bank.style_names):
             positives = np.array([1 if (r.styles and j in r.styles) else 0
                                   for r in records])
             if positives.sum() == 0:
@@ -408,7 +411,7 @@ def evaluate(backbone_path: str, manifest_path: str, tasks,
                                 "per_class": per_class, "mode": mode}
         lines.append(f"task zsl-style: mode={mode} "
                      f"map={_fmt(results['zsl-style']['map'])}")
-        for name in names:
+        for name in bank.style_names:
             if name in per_class:
                 lines.append(f"  ap {name}: {_fmt(per_class[name])}")
 
@@ -417,12 +420,7 @@ def evaluate(backbone_path: str, manifest_path: str, tasks,
             if not r.comments:
                 raise ValueError(f"task 'caption' requires reference comments; record "
                                  f"{r.id!r} has none")
-        captions = []
-        for r in records:
-            image = center_crop(read_image(record_image_path(r, manifest_path)),
-                                cfg.image_size)
-            captions.append(generate_caption(image, params, cfg, vocab,
-                                             max_len=caption_max_len))
+        captions = caption_images(params, vocab, records, manifest_path, caption_max_len)
         refs = [[" ".join(tok.split_words(c)) for c in r.comments] for r in records]
         bleu = {f"bleu{n}": float(np.mean([met.bleu_n(c, rs, n)
                                            for c, rs in zip(captions, refs)]))
@@ -438,50 +436,36 @@ def evaluate(backbone_path: str, manifest_path: str, tasks,
     return "\n".join(lines) + "\n", results
 
 
-def _require_mos(records, task: str) -> np.ndarray:
+def _require_mos(records, what: str) -> np.ndarray:
     missing = [r.id for r in records if r.mos is None]
     if missing:
-        raise ValueError(f"task {task!r} requires mos labels; missing for "
-                         f"{missing[:5]}")
+        raise ValueError(f"{what} requires mos labels; missing for {missing[:5]} "
+                         f"(and {max(0, len(missing) - 5)} more)")
     return np.array([r.mos for r in records], dtype=np.float64)
 
 
 def zsl_score_lines(backbone_path: str, manifest_path: str, task: str = "iaa",
                     mode: str = "ensemble", prompt_cache: str | None = None) -> str:
     """Line-oriented score records: 'id<TAB>score' or 'id<TAB>s1..s14'."""
-    params, _ = ModelParams.load(backbone_path)
-    cfg = params.config
-    vocab = tok.Vocabulary.load(vocab_path_for(backbone_path))
-    records = load_manifest(manifest_path)
-    v_all = embed_images(params, cfg, records, manifest_path)
-    unit = v_all / np.linalg.norm(v_all, axis=1, keepdims=True)
-    bank = PromptBank.default()
-    if prompt_cache is not None:
-        table = zsl.load_prompt_cache(prompt_cache, sha256_file(backbone_path))
-    else:
-        table = zsl.embed_bank(bank, params, cfg, vocab)
-    lines = []
-    if task == "iaa":
-        pairs = zsl.pair_embeddings(bank, table)
-        for rec, u in zip(records, unit):
-            s = (zsl.zsl_iaa_ensemble(u, pairs) if mode == "ensemble"
-                 else zsl.zsl_iaa_single(u, pairs[0]))
-            lines.append(f"{rec.id}\t{_fmt(s)}")
-    elif task == "style":
-        styles = zsl.style_embeddings(bank, table)
-        for rec, u in zip(records, unit):
-            per = zsl.zsl_style_scores(u, styles, mode)
-            vals = "\t".join(_fmt(per[name]) for name in bank.style_names)
-            lines.append(f"{rec.id}\t{vals}")
-    else:
+    if task not in ("iaa", "style"):
         raise ValueError(f"zsl task must be 'iaa' or 'style', got {task!r}")
+    params, vocab = load_backbone(backbone_path)
+    records = load_manifest(manifest_path)
+    v_all = embed_images(params, params.config, records, manifest_path)
+    bank = PromptBank.default()
+    table = prompt_table(backbone_path, params, vocab, prompt_cache)
+    if task == "iaa":
+        rows = [[s] for s in zsl.iaa_scores(v_all, zsl.pair_embeddings(bank, table), mode)]
+    else:
+        rows = zsl.style_scores(v_all, zsl.style_embeddings(bank, table), mode)
+    lines = [f"{rec.id}\t" + "\t".join(_fmt(s) for s in row)
+             for rec, row in zip(records, rows)]
     return "\n".join(lines) + "\n"
 
 
 def export_prompt_cache(backbone_path: str, out_path: str) -> int:
     """Embed the whole default bank (anchor included) and cache it."""
-    params, _ = ModelParams.load(backbone_path)
-    vocab = tok.Vocabulary.load(vocab_path_for(backbone_path))
+    params, vocab = load_backbone(backbone_path)
     table = zsl.embed_bank(PromptBank.default(), params, params.config, vocab)
     zsl.save_prompt_cache(table, sha256_file(backbone_path), out_path)
     return len(table)

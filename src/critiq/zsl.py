@@ -102,11 +102,30 @@ def zsl_style_scores(v: np.ndarray, styles: StylePromptEmbeddings,
     return out
 
 
-def style_score_for(v: np.ndarray, styles: StylePromptEmbeddings, name: str,
-                    mode: str = "ensemble") -> float:
-    if name not in styles.single:
-        raise ValueError(f"unknown style {name!r}")
-    return zsl_style_scores(v, styles, mode)[name]
+def _unit_rows(v: np.ndarray, mode: str) -> np.ndarray:
+    """Rows of `v` scaled to unit norm, once `mode` is known to be valid."""
+    if mode not in ("single", "ensemble"):
+        raise ValueError(f"unknown zero-shot mode {mode!r}; expected 'single' or 'ensemble'")
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def iaa_scores(v: np.ndarray, pairs: list[PromptPairEmbedding], mode: str) -> list[float]:
+    """Quality score per row of raw image embeddings `v` (N, D): the first
+    pair alone in 'single' mode, the ensemble over all pairs otherwise."""
+    unit = _unit_rows(v, mode)
+    if mode == "single":
+        return [zsl_iaa_single(u, pairs[0]) for u in unit]
+    return [zsl_iaa_ensemble(u, pairs) for u in unit]
+
+
+def style_scores(v: np.ndarray, styles: StylePromptEmbeddings, mode: str) -> np.ndarray:
+    """(N, styles) score matrix for raw image embeddings `v` (N, D), with
+    columns in `styles.style_names()` order."""
+    unit = _unit_rows(v, mode)
+    names = styles.style_names()
+    rows = [zsl_style_scores(u, styles, mode) for u in unit]
+    return np.array([[per[name] for name in names] for per in rows],
+                    dtype=np.float64).reshape(len(rows), len(names))
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +137,8 @@ def embed_prompt(text: str, params: ModelParams, cfg: ModelConfig,
     """Unit-norm frozen text embedding of a prompt (CLS output)."""
     with ad.no_grad():
         seq = tok.encode(text, vocab, "contrastive", cfg.max_text_length)
-        state = encode_text_unimodal(seq, params, cfg)
-        return ad.l2_normalize(state.cls_output).data.copy()
+        hidden = encode_text_unimodal(seq, params, cfg)
+        return ad.l2_normalize(ad.index(hidden, -1)).data.copy()
 
 
 def embed_bank(bank: PromptBank, params: ModelParams, cfg: ModelConfig,

@@ -10,8 +10,9 @@ from critiq import zsl
 from critiq.cli import cli_dispatch
 from critiq.config import TrainConfig
 from critiq.model import ModelConfig, ModelParams
+from critiq.data import load_manifest
 from critiq.tokenizer import Vocabulary
-from critiq.train import vocab_path_for
+from critiq.train import evaluate, vocab_path_for
 from critiq.util import sha256_file
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
@@ -110,6 +111,17 @@ def test_caption_output(workspace):
                          manifest, "--out", out, "--max-len", "4"]) == 0
     lines = pathlib.Path(out).read_text().strip().split("\n")
     assert len(lines) == 8 and all("\t" in line for line in lines)
+
+
+def test_caption_lines_match_evaluate(workspace):
+    root, manifest, ckpt_path = workspace
+    out = str(root / "captions16.txt")
+    assert cli_dispatch(["caption", "--checkpoint", ckpt_path, "--manifest",
+                         manifest, "--out", out]) == 0
+    rows = [line.split("\t") for line in pathlib.Path(out).read_text().split("\n")[:-1]]
+    _, results = evaluate(ckpt_path, manifest, ["caption"])
+    assert [rid for rid, _ in rows] == [r.id for r in load_manifest(manifest)]
+    assert [caption for _, caption in rows] == results["caption"]["captions"]
 
 
 def test_export_prompts_round_trip(workspace):

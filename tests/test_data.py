@@ -175,7 +175,7 @@ class TestMakeBatches:
         for batch in make_batches(records, 3, vocab, aug, 0, 0, manifest):
             assert batch.gen_tokens.ndim == 2
             assert all(seq[-1] == tok.CLS for seq in batch.con_tokens)
-            assert batch.mos is not None and len(batch.mos) == batch.size
+            assert batch.gen_tokens.shape[0] == len(batch.con_tokens) == batch.size
             assert batch.images.shape[1:] == (32, 32, 3)
 
     def test_missing_comments_named(self, tmp_path, corpus):

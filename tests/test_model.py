@@ -9,10 +9,10 @@ import pytest
 from critiq import autodiff as ad
 from critiq import tokenizer as tok
 from critiq.autodiff import Tensor
-from critiq.model import (ModelConfig, ModelParams, attentional_pool,
-                          contrastive_embeddings, decode_multimodal, encode_image,
-                          encode_text_unimodal, generate_caption, patchify,
-                          pool_image)
+from critiq.model import (ModelConfig, ModelParams, attentional_pool, decode_multimodal,
+                          encode_image, encode_text_unimodal, generate_caption,
+                          image_embedding_batch, patchify)
+from critiq.zsl import embed_prompt
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
                    encoder_layers=1, unimodal_layers=1, multimodal_layers=1,
@@ -135,26 +135,26 @@ class TestUnimodalText:
     def test_causal_prefix_invariance_bitwise(self, tiny_params):
         s1 = [5, 6, 7, 8, tok.CLS]
         s2 = [5, 6, 9, 8, tok.CLS]
-        w1 = encode_text_unimodal(s1, tiny_params, TINY).hidden.data
-        w2 = encode_text_unimodal(s2, tiny_params, TINY).hidden.data
+        w1 = encode_text_unimodal(s1, tiny_params, TINY).data
+        w2 = encode_text_unimodal(s2, tiny_params, TINY).data
         assert np.array_equal(w1[:2], w2[:2])
         assert not np.array_equal(w1[2:], w2[2:])
 
     def test_cls_alone(self, tiny_params):
-        state = encode_text_unimodal([tok.CLS], tiny_params, TINY)
-        assert state.cls_output.shape == (TINY.hidden_dim,)
-        assert np.isfinite(state.cls_output.data).all()
+        hidden = encode_text_unimodal([tok.CLS], tiny_params, TINY)
+        assert hidden.shape == (1, TINY.hidden_dim)
+        assert np.isfinite(hidden.data).all()
 
     def test_matches_naive_lower_triangular_attention(self, tiny_params):
         # causal run equals brute-force masked attention inside each block,
         # checked end to end against a full-attention run on a causal-safe
         # input: only the final position may differ from prefix growth
         seq = [5, 6, 7, tok.CLS]
-        full = encode_text_unimodal(seq, tiny_params, TINY).hidden.data
+        full = encode_text_unimodal(seq, tiny_params, TINY).data
         for t in range(1, len(seq) + 1):
             part = encode_text_unimodal(seq[:t - 1] + [tok.CLS], tiny_params, TINY)
             if t == len(seq):
-                np.testing.assert_array_equal(part.hidden.data[: t - 1], full[: t - 1])
+                np.testing.assert_array_equal(part.data[: t - 1], full[: t - 1])
 
     def test_requires_cls_terminal(self, tiny_params):
         with pytest.raises(ValueError, match="CLS"):
@@ -167,27 +167,38 @@ class TestUnimodalText:
 
 
 class TestContrastivePair:
+    """Image embeddings as zero-shot scoring normalizes them, against prompt
+    embeddings from `embed_prompt`."""
+    WORDS = ["good", "bad", "sharp", "blurry", "light", "dark", "focus", "colour"]
+    VOCAB = tok.Vocabulary.build([" ".join(WORDS)], TINY.vocab_size)
+
+    @staticmethod
+    def image_unit(img, params):
+        return ad.l2_normalize(image_embedding_batch(img[None], params, TINY)).data[0]
+
     def test_unit_norms(self, tiny_params):
         rng = np.random.default_rng(5)
         for _ in range(10):
             img = rng.random((16, 16, 3)).astype(np.float32)
-            x, y = contrastive_embeddings(img, [5, 6, tok.CLS], tiny_params, TINY)
-            assert abs(np.linalg.norm(x.data) - 1) < 1e-6
-            assert abs(np.linalg.norm(y.data) - 1) < 1e-6
+            x = self.image_unit(img, tiny_params)
+            y = embed_prompt("good sharp", tiny_params, TINY, self.VOCAB)
+            assert abs(np.linalg.norm(x) - 1) < 1e-6
+            assert abs(np.linalg.norm(y) - 1) < 1e-6
 
     def test_identical_images_identical_embeddings(self, tiny_params):
         img = np.random.default_rng(6).random((16, 16, 3)).astype(np.float32)
-        x1, _ = contrastive_embeddings(img, [5, tok.CLS], tiny_params, TINY)
-        x2, _ = contrastive_embeddings(img.copy(), [5, tok.CLS], tiny_params, TINY)
-        assert np.array_equal(x1.data, x2.data)
+        x1 = self.image_unit(img, tiny_params)
+        x2 = self.image_unit(img.copy(), tiny_params)
+        assert np.array_equal(x1, x2)
 
     def test_cosine_within_bounds(self, tiny_params):
         rng = np.random.default_rng(7)
         for _ in range(100):
             img = rng.random((16, 16, 3)).astype(np.float32)
-            toks = [int(rng.integers(5, 20)), tok.CLS]
-            x, y = contrastive_embeddings(img, toks, tiny_params, TINY)
-            c = float(x.data @ y.data)
+            word = self.WORDS[int(rng.integers(len(self.WORDS)))]
+            x = self.image_unit(img, tiny_params)
+            y = embed_prompt(word, tiny_params, TINY, self.VOCAB)
+            c = float(x @ y)
             assert -1.0 - 1e-6 <= c <= 1.0 + 1e-6
 
 

@@ -1,0 +1,52 @@
+"""The benchmark's span tracer still finds every call site it wraps.
+
+`perfbench.spans.SITES` names each site as a module (or class) attribute, and
+the benchmark's caption and zero-shot timings come from calls made through
+those names. This installs the tracer over every site, runs a tiny evaluate
+for `caption` and `zsl-iaa`, and checks that the spans show up."""
+
+import pytest
+
+from critiq import train
+from critiq.config import TrainConfig
+from critiq.data import load_manifest
+from critiq.model import ModelConfig
+from critiq.synth import SynthSpec, generate_synthetic_corpus
+from perfbench.spans import SITES, Tracer
+
+TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
+                   encoder_layers=1, unimodal_layers=1, multimodal_layers=1,
+                   mlp_dim=32, generative_pool_queries=2, vocab_size=64,
+                   max_text_length=16)
+
+
+@pytest.fixture(scope="module")
+def backbone(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trace")
+    manifest = generate_synthetic_corpus(SynthSpec(count=6, comments_min=1,
+                                                   comments_max=2), str(root), 3)
+    out = str(root / "model.ckpt")
+    train.pretrain(TrainConfig(stage="pretrain", steps=2, batch_size=3,
+                               learning_rate=1e-3, seed=1, model=TINY), manifest, out)
+    return out, manifest
+
+
+def test_every_site_traced_through_evaluate(backbone):
+    out, manifest = backbone
+    n = len(load_manifest(manifest))
+    tracer = Tracer()
+    tracer.install(SITES)
+    try:
+        train.evaluate(out, manifest, ["caption", "zsl-iaa"], caption_max_len=3)
+    finally:
+        assert tracer.uninstall()
+    names = [s.name for s in tracer.spans]
+    parents = {i: tracer.spans[s.parent].name for i, s in enumerate(tracer.spans)
+               if s.parent >= 0}
+    captions = [i for i, name in enumerate(names) if name == "model.generate_caption"]
+    assert len(captions) == n
+    assert all(parents[i] == "train.evaluate" for i in captions)
+    assert names.count("train.embed_images") == 1
+    assert names.count("zsl.embed_bank") == 1
+    assert names.count("zsl.zsl_iaa_ensemble") == n
+    assert names.count("imageio.read_image") == 2 * n

@@ -4,20 +4,23 @@ schedules, and the evaluation drivers."""
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from critiq import checkpoint as ckpt
+from critiq import metrics as met
 from critiq import objectives as obj
 from critiq import tokenizer as tok
 from critiq import zsl
 from critiq.config import TrainConfig
 from critiq.data import Batch, load_manifest, save_manifest
 from critiq.model import ModelConfig, ModelParams
+from critiq.prompts import PromptBank
 from critiq.synth import SynthSpec, generate_synthetic_corpus
-from critiq.train import (RunLog as RunLogBytes, adapter_finetune, evaluate,
-                          export_prompt_cache, load_adapter, pretrain,
+from critiq.train import (RunLog as RunLogBytes, adapter_finetune, embed_images,
+                          evaluate, export_prompt_cache, load_adapter, pretrain,
                           pretrain_step_loss, vocab_path_for, zsl_score_lines)
 from critiq.util import sha256_file
 
@@ -118,6 +121,22 @@ class TestPretrain:
         assert len(evals) == 2
         assert all("zsl_srcc" in r and "zsl_plcc" in r for r in evals)
 
+    @pytest.mark.parametrize("mos, reason", [(5.0, "constant input"),
+                                             (None, "0 records carry a mos label")])
+    def test_eval_snapshot_logs_why_it_skipped(self, corpus, tmp_path, mos, reason):
+        records = load_manifest(corpus)
+        for r in records:
+            r.mos = mos
+        flat = str(tmp_path / "flat.jsonl")
+        save_manifest(records, flat)
+        os.symlink(os.path.join(os.path.dirname(corpus), "images"),
+                   os.path.join(tmp_path, "images"))
+        _, log, _ = pretrain(tiny_cfg(steps=4, eval_every=2), flat,
+                             str(tmp_path / "e.ckpt"))
+        evals = [r for r in log.records if r["kind"] == "eval"]
+        assert [r["step"] for r in evals] == [1, 3]
+        assert all(reason in r["skipped"] and "zsl_srcc" not in r for r in evals)
+
 
 def test_desk_default_step_graph_size():
     """One pretraining step at the desk defaults builds at most 301 graph nodes
@@ -211,7 +230,7 @@ class TestAdapterFinetune:
         out, _, _, _ = trained
         path = str(tmp_path / "adapter.ckpt")
         adapter, _, _ = adapter_finetune(self.adapt_cfg(), corpus, out, path)
-        back = load_adapter(path)
+        back = load_adapter(path, sha256_file(out))
         assert back.residual.data.tobytes() == adapter.residual.data.tobytes()
         assert back.anchor.tobytes() == adapter.anchor.tobytes()
         assert back.margin == adapter.margin
@@ -243,6 +262,27 @@ class TestEvaluate:
         report, results = evaluate(out, corpus, ["iaa"], adapter_path=adapter_path)
         assert "task iaa" in report
         assert -1 <= results["iaa"]["srcc"] <= 1
+
+    def test_adapter_checked_against_backbone(self, trained, corpus, tmp_path):
+        out, _, _, _ = trained
+        cfg = TrainConfig(stage="adapt", steps=4, batch_size=5, learning_rate=5e-3,
+                          seed=1, model=TINY)
+        adapter_path = str(tmp_path / "a.ckpt")
+        adapter_finetune(cfg, corpus, out, adapter_path)
+        same, _ = evaluate(out, corpus, ["iaa"], adapter_path=adapter_path)
+        assert "task iaa" in same
+        other = str(tmp_path / "other.ckpt")
+        pretrain(tiny_cfg(steps=2, seed=4), corpus, other)
+        named = re.escape(adapter_path) + ".*meta/backbone_sha256"
+        with pytest.raises(ckpt.CheckpointError, match=named):
+            evaluate(other, corpus, ["iaa"], adapter_path=adapter_path)
+        unhashed = str(tmp_path / "unhashed.ckpt")
+        tensors = ckpt.load(adapter_path)
+        del tensors["meta/backbone_sha256"]
+        ckpt.save(tensors, unhashed)
+        with pytest.raises(ckpt.CheckpointError,
+                           match=re.escape(unhashed) + ".*meta/backbone_sha256"):
+            evaluate(out, corpus, ["iaa"], adapter_path=unhashed)
 
     def test_iaa_without_adapter_rejected(self, trained, corpus):
         out, _, _, _ = trained
@@ -279,6 +319,54 @@ class TestEvaluate:
         for name, ap_val in results["zsl-style"]["per_class"].items():
             assert f"ap {name}" in report
             assert 0.0 <= ap_val <= 1.0
+
+
+    def _unit_embeddings(self, trained, corpus):
+        _, params, _, vocab = trained
+        records = load_manifest(corpus)
+        v = embed_images(params, TINY, records, corpus)
+        table = zsl.embed_bank(PromptBank.default(), params, TINY, vocab)
+        return records, v / np.linalg.norm(v, axis=1, keepdims=True), table
+
+    def test_single_mode_zsl_iaa_uses_first_pair(self, trained, corpus):
+        out = trained[0]
+        records, unit, table = self._unit_embeddings(trained, corpus)
+        pair = zsl.pair_embeddings(PromptBank.default(), table)[0]
+        scores = [zsl.zsl_iaa_single(u, pair) for u in unit]
+        mos = [r.mos for r in records]
+        report, results = evaluate(out, corpus, ["zsl-iaa"], mode="single")
+        assert results["zsl-iaa"] == {"srcc": met.srcc(scores, mos),
+                                      "plcc": met.plcc(scores, mos), "mode": "single"}
+        assert "task zsl-iaa: mode=single " in report
+
+    def test_single_mode_zsl_style_uses_single_prompts(self, trained, corpus):
+        out = trained[0]
+        records, unit, table = self._unit_embeddings(trained, corpus)
+        bank = PromptBank.default()
+        styles = zsl.style_embeddings(bank, table)
+        per = [zsl.zsl_style_scores(u, styles, "single") for u in unit]
+        expected = {}
+        for j, name in enumerate(bank.style_names):
+            positives = np.array([1 if (r.styles and j in r.styles) else 0
+                                  for r in records])
+            if positives.sum():
+                expected[name] = met.average_precision(
+                    np.array([p[name] for p in per]), positives)
+        report, results = evaluate(out, corpus, ["zsl-style"], mode="single")
+        assert results["zsl-style"]["per_class"] == expected
+        assert results["zsl-style"]["map"] == float(np.mean(list(expected.values())))
+        assert "task zsl-style: mode=single " in report
+
+    @pytest.mark.parametrize("mode", ["single", "ensemble"])
+    def test_zsl_score_lines_give_evaluate_srcc(self, trained, corpus, mode):
+        out = trained[0]
+        body = zsl_score_lines(out, corpus, task="iaa", mode=mode)
+        rows = [line.split("\t") for line in body.strip().split("\n")]
+        records = load_manifest(corpus)
+        assert [rid for rid, _ in rows] == [r.id for r in records]
+        scores = [float(s) for _, s in rows]
+        _, results = evaluate(out, corpus, ["zsl-iaa"], mode=mode)
+        assert met.srcc(scores, [r.mos for r in records]) == results["zsl-iaa"]["srcc"]
 
 
 class TestPromptExport:

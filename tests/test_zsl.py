@@ -142,14 +142,53 @@ class TestStyleScores:
                                        ensemble={"s": prompts})
         assert abs(zsl_style_scores(v, styles, "ensemble")["s"] - 0.6) < 1e-12
 
-    def test_unknown_style_rejected(self):
-        styles = self._styles()
-        with pytest.raises(ValueError, match="unknown style"):
-            zsl.style_score_for(np.array([1.0, 0.0, 0.0]), styles, "zzz")
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             zsl_style_scores(np.array([1.0, 0.0, 0.0]), self._styles(), "softmax")
+
+
+class TestBatchScorers:
+    """`iaa_scores` and `style_scores` normalize raw (N, D) embeddings and
+    apply the per-image scorers row by row."""
+
+    def _raw(self, seed, dim=3):
+        return np.random.default_rng(seed).normal(size=(6, dim)) * 3.0
+
+    def test_iaa_scores_match_per_image_calls(self):
+        rng = np.random.default_rng(4)
+        pairs = [PromptPairEmbedding(unit(rng.normal(size=3)), unit(rng.normal(size=3)),
+                                     "g", "b") for _ in range(3)]
+        v = self._raw(1)
+        rows = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert zsl.iaa_scores(v, pairs, "ensemble") == [zsl_iaa_ensemble(u, pairs)
+                                                        for u in rows]
+        assert zsl.iaa_scores(v, pairs, "single") == [zsl_iaa_single(u, pairs[0])
+                                                      for u in rows]
+
+    def test_style_scores_columns_follow_style_names(self):
+        styles = StylePromptEmbeddings(
+            single={"b": np.array([0.0, 1.0, 0.0]), "a": np.array([1.0, 0.0, 0.0])},
+            ensemble={"b": [np.array([0.0, 1.0, 0.0])],
+                      "a": [np.array([1.0, 0.0, 0.0]), unit([1.0, 1.0, 0.0])]})
+        v = self._raw(2)
+        rows = v / np.linalg.norm(v, axis=1, keepdims=True)
+        for mode in ("single", "ensemble"):
+            mat = zsl.style_scores(v, styles, mode)
+            assert mat.shape == (6, 2) and mat.dtype == np.float64
+            for u, row in zip(rows, mat):
+                per = zsl_style_scores(u, styles, mode)
+                assert list(row) == [per["b"], per["a"]]
+
+    def test_no_images_give_empty_scores(self):
+        styles = StylePromptEmbeddings(single={"a": np.array([1.0, 0.0])},
+                                       ensemble={"a": [np.array([1.0, 0.0])]})
+        assert zsl.style_scores(np.zeros((0, 2)), styles, "single").shape == (0, 1)
+        assert zsl.iaa_scores(np.zeros((0, 2)), [], "ensemble") == []
+
+    @pytest.mark.parametrize("scorer", [zsl.iaa_scores, zsl.style_scores])
+    def test_unknown_mode_rejected_before_scoring(self, scorer):
+        with pytest.raises(ValueError, match="unknown zero-shot mode 'softmax'"):
+            scorer(np.ones((2, 3)), None, "softmax")
 
 
 PIPELINE_CFG = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
