@@ -41,6 +41,11 @@ class DegenerateInputError(ValueError):
 _grad_enabled = True
 
 
+def grad_enabled() -> bool:
+    """False inside a `no_grad()` block."""
+    return _grad_enabled
+
+
 @contextlib.contextmanager
 def no_grad():
     """Disable graph construction inside the block (inference mode)."""
@@ -407,12 +412,13 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm: gamma/beta must have shape ({d},), "
                          f"got {gamma.shape} and {beta.shape}")
-    mu = a.data.mean(axis=-1, keepdims=True)
+    # sum / d gives np.mean's bits without its Python-level wrapper
+    mu = a.data.sum(axis=-1, keepdims=True) / d
     xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + EPS)
     xhat = xc * inv
-    out_data = (xhat * gamma.data + beta.data).astype(a.dtype)
+    out_data = xhat * gamma.data + beta.data
 
     def backward_fn(g):
         lead = tuple(range(g.ndim - 1))
@@ -420,8 +426,8 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         _accumulate(beta, g.sum(axis=lead))
         if a.requires_grad:
             gx = g * gamma.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+            m1 = gx.sum(axis=-1, keepdims=True) / d
+            m2 = (gx * xhat).sum(axis=-1, keepdims=True) / d
             _accumulate(a, inv * (gx - m1 - xhat * m2))
 
     return _make(out_data, (a, gamma, beta), backward_fn)

@@ -129,10 +129,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "caption":
-        from .data import load_manifest
-        from .train import caption_images, load_backbone
+        from .train import caption_images, load_backbone, load_records
         params, vocab = load_backbone(args.checkpoint)
-        records = load_manifest(args.manifest)
+        records = load_records(args.manifest)
         captions = caption_images(params, vocab, records, args.manifest, args.max_len)
         lines = [f"{rec.id}\t{caption}" for rec, caption in zip(records, captions)]
         write_atomic(args.out, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -259,13 +259,26 @@ def _linear(x: Tensor, params: ModelParams, w: str, b: str) -> Tensor:
 
 
 def _attention(x: Tensor, params: ModelParams, prefix: str, n_heads: int,
-               mask: np.ndarray | None = None, memory: Tensor | None = None) -> Tensor:
-    """Multi-head attention from x to itself, or to `memory` when given."""
-    kv = x if memory is None else memory
+               mask: np.ndarray | None = None, memory: Tensor | None = None,
+               cache: dict | None = None) -> Tensor:
+    """Multi-head attention from x to itself, or to `memory` when given.
+
+    With a `cache`, the keys and values stored under `prefix` are reused:
+    self-attention appends x's own to them, cross-attention projects
+    `memory` only on the first call."""
     q = _linear(x, params, f"{prefix}/wq", f"{prefix}/bq")
-    k = _linear(kv, params, f"{prefix}/wk", f"{prefix}/bk")
-    v = _linear(kv, params, f"{prefix}/wv", f"{prefix}/bv")
-    out = ad.attention(q, k, v, n_heads, mask)
+    kv = None if cache is None else cache.get(prefix)
+    if kv is None or memory is None:
+        src = x if memory is None else memory
+        k = _linear(src, params, f"{prefix}/wk", f"{prefix}/bk")
+        v = _linear(src, params, f"{prefix}/wv", f"{prefix}/bv")
+        if kv is not None:
+            k, v = (Tensor(np.concatenate((old.data, new.data), axis=1))
+                    for old, new in zip(kv, (k, v)))
+        kv = (k, v)
+        if cache is not None:
+            cache[prefix] = kv
+    out = ad.attention(q, *kv, n_heads, mask)
     return _linear(out, params, f"{prefix}/wo", f"{prefix}/bo")
 
 
@@ -275,18 +288,22 @@ def _mlp(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
 
 
 def _block(x: Tensor, params: ModelParams, prefix: str, n_heads: int,
-           mask: np.ndarray | None = None, memory: Tensor | None = None) -> Tensor:
+           mask: np.ndarray | None = None, memory: Tensor | None = None,
+           cache: dict | None = None) -> Tensor:
     h = ad.layer_norm(x, params[f"{prefix}/ln1/g"], params[f"{prefix}/ln1/b"])
-    x = ad.add(x, _attention(h, params, f"{prefix}/attn", n_heads, mask))
+    x = ad.add(x, _attention(h, params, f"{prefix}/attn", n_heads, mask, cache=cache))
     if memory is not None:
         h = ad.layer_norm(x, params[f"{prefix}/lnx/g"], params[f"{prefix}/lnx/b"])
-        x = ad.add(x, _attention(h, params, f"{prefix}/xattn", n_heads, memory=memory))
+        x = ad.add(x, _attention(h, params, f"{prefix}/xattn", n_heads, memory=memory,
+                                 cache=cache))
     h = ad.layer_norm(x, params[f"{prefix}/ln2/g"], params[f"{prefix}/ln2/b"])
     return ad.add(x, _mlp(h, params, f"{prefix}/mlp"))
 
 
-def _causal_mask(l: int) -> np.ndarray:
-    return np.tril(np.ones((l, l), dtype=bool))
+def _causal_mask(l: int, start: int) -> np.ndarray | None:
+    """Which of start + l keys each of l new text positions may see; None for
+    a single position, which sees them all."""
+    return np.tri(l, start + l, start, dtype=bool) if l > 1 else None
 
 
 def encode_image(images, params: ModelParams, cfg: ModelConfig) -> Tensor:
@@ -343,21 +360,24 @@ def _pad_sequences(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     return ids, lengths
 
 
-def _embed_tokens(ids: np.ndarray, params: ModelParams) -> Tensor:
-    l = ids.shape[-1]
+def _embed_tokens(ids: np.ndarray, params: ModelParams, start: int) -> Tensor:
     x = ad.embedding(params["tok_emb"], ids)
-    pos = ad.index(params["pos/text"], slice(0, l))
+    pos = ad.index(params["pos/text"], slice(start, start + ids.shape[-1]))
     return ad.add(x, pos)
 
 
-def _run_unimodal(ids: np.ndarray, params: ModelParams, cfg: ModelConfig) -> Tensor:
-    if ids.shape[-1] > cfg.max_text_length:
-        raise ad.ShapeError(f"text length {ids.shape[-1]} exceeds maximum "
+def _run_unimodal(ids: np.ndarray, params: ModelParams, cfg: ModelConfig,
+                  start: int = 0, cache: dict | None = None) -> Tensor:
+    """Unimodal stack over text positions start, start+1, ...; the keys and
+    values of positions before `start` come from `cache`."""
+    l = ids.shape[-1]
+    if start + l > cfg.max_text_length:
+        raise ad.ShapeError(f"text length {start + l} exceeds maximum "
                             f"{cfg.max_text_length}")
-    x = _embed_tokens(ids, params)
-    mask = _causal_mask(ids.shape[-1])
+    x = _embed_tokens(ids, params, start)
+    mask = _causal_mask(l, start)
     for i in range(cfg.unimodal_layers):
-        x = _block(x, params, f"uni/{i}", cfg.n_heads, mask=mask)
+        x = _block(x, params, f"uni/{i}", cfg.n_heads, mask=mask, cache=cache)
     return ad.layer_norm(x, params["uni/ln_f/g"], params["uni/ln_f/b"])
 
 
@@ -389,12 +409,21 @@ def image_embedding_batch(images, params: ModelParams, cfg: ModelConfig) -> Tens
 
 
 def decode_multimodal(tokens, pooled_v: Tensor, params: ModelParams,
-                      cfg: ModelConfig) -> Tensor:
+                      cfg: ModelConfig, cache: dict | None = None) -> Tensor:
     """Caption logits, causal in text, cross-attending to pooled image tokens.
 
     tokens: list[int] with pooled_v (n_q, D), or list[list[int]] / int array
     with pooled_v (N, n_q, D). Returns (L, vocab) or (N, L, vocab).
+
+    `cache` is a dict the caller owns, empty at the first call for an image.
+    With one, each call feeds only the tokens that follow those already fed,
+    and the keys and values of earlier positions are reused instead of
+    recomputed. Cached arrays are cut from the graph, so a cache needs
+    `ad.no_grad()`.
     """
+    if cache is not None and ad.grad_enabled():
+        raise RuntimeError("decode_multimodal: a cache needs ad.no_grad(); cached keys "
+                           "and values are cut from the graph")
     single = pooled_v.data.ndim == 2
     if single:
         ids = np.asarray([tokens], dtype=np.int64)
@@ -404,10 +433,14 @@ def decode_multimodal(tokens, pooled_v: Tensor, params: ModelParams,
     if ids.ndim != 2 or ids.shape[0] != pooled_v.shape[0]:
         raise ad.ShapeError(f"decode_multimodal: token batch {ids.shape} does not match "
                             f"pooled image batch {pooled_v.shape}")
-    x = _run_unimodal(ids, params, cfg)
-    mask = _causal_mask(ids.shape[-1])
+    start = 0 if cache is None else cache.get("length", 0)
+    x = _run_unimodal(ids, params, cfg, start, cache)
+    mask = _causal_mask(ids.shape[-1], start)
     for i in range(cfg.multimodal_layers):
-        x = _block(x, params, f"mm/{i}", cfg.n_heads, mask=mask, memory=pooled_v)
+        x = _block(x, params, f"mm/{i}", cfg.n_heads, mask=mask, memory=pooled_v,
+                   cache=cache)
+    if cache is not None:
+        cache["length"] = start + ids.shape[-1]
     x = ad.layer_norm(x, params["mm/ln_f/g"], params["mm/ln_f/b"])
     logits = _linear(x, params, "head/w", "head/b")
     return ad.index(logits, 0) if single else logits
@@ -419,16 +452,18 @@ def generate_caption(image, params: ModelParams, cfg: ModelConfig,
 
     The argmax is restricted to ids the vocabulary actually assigns (the
     logit head is sized for the configured maximum, which a small corpus
-    may not fill)."""
+    may not fill). Each step feeds only the newest token; a key/value cache
+    holds the rest of the prefix."""
     valid = min(len(vocab), cfg.vocab_size)
     with ad.no_grad():
         v = encode_image(image, params, cfg)
         pooled = pool_image(v, params, "gen")
         seq = [tok.BOS]
+        cache: dict = {}
         for _ in range(max_len):
             if len(seq) >= cfg.max_text_length:
                 break
-            logits = decode_multimodal(seq, pooled, params, cfg)
+            logits = decode_multimodal(seq[-1:], pooled, params, cfg, cache)
             nxt = int(np.argmax(logits.data[-1, :valid]))
             if nxt == tok.EOS:
                 break

@@ -74,6 +74,14 @@ def load_backbone(path: str) -> tuple[ModelParams, tok.Vocabulary]:
     return params, tok.Vocabulary.load(vocab_path_for(path))
 
 
+def load_records(manifest_path: str) -> list[ManifestRecord]:
+    """The manifest's records; an empty one is an error."""
+    records = load_manifest(manifest_path)
+    if not records:
+        raise ValueError(f"{manifest_path}: empty manifest")
+    return records
+
+
 def center_crop(image: np.ndarray, size: int) -> np.ndarray:
     h, w = image.shape[:2]
     if h < size or w < size:
@@ -114,9 +122,7 @@ def pretrain(cfg: TrainConfig, manifest_path: str, out_path: str,
     interruption would; the saved checkpoint resumes the same trajectory."""
     if cfg.stage != "pretrain":
         raise ValueError(f"pretrain called with stage={cfg.stage!r}")
-    records = load_manifest(manifest_path)
-    if not records:
-        raise ValueError(f"{manifest_path}: empty manifest")
+    records = load_records(manifest_path)
     for rec in records:
         if not rec.comments:
             raise ValueError(f"record {rec.id!r} has no comments; pretraining needs "
@@ -364,10 +370,9 @@ def evaluate(backbone_path: str, manifest_path: str, tasks,
     for t in tasks:
         if t not in TASKS:
             raise ValueError(f"unknown task {t!r}; expected a subset of {TASKS}")
+    zsl.check_mode(mode)
     params, vocab = load_backbone(backbone_path)
-    records = load_manifest(manifest_path)
-    if not records:
-        raise ValueError(f"{manifest_path}: empty manifest")
+    records = load_records(manifest_path)
     results: dict = {}
     lines = ["evaluation report", f"manifest: {manifest_path}", f"n: {len(records)}"]
 
@@ -449,8 +454,9 @@ def zsl_score_lines(backbone_path: str, manifest_path: str, task: str = "iaa",
     """Line-oriented score records: 'id<TAB>score' or 'id<TAB>s1..s14'."""
     if task not in ("iaa", "style"):
         raise ValueError(f"zsl task must be 'iaa' or 'style', got {task!r}")
+    zsl.check_mode(mode)
     params, vocab = load_backbone(backbone_path)
-    records = load_manifest(manifest_path)
+    records = load_records(manifest_path)
     v_all = embed_images(params, params.config, records, manifest_path)
     bank = PromptBank.default()
     table = prompt_table(backbone_path, params, vocab, prompt_cache)

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import tokenizer as tok
-from .model import ModelConfig, ModelParams, encode_text_unimodal
+from .model import ModelConfig, ModelParams, encode_text_batch
 from .prompts import PromptBank
 
 CACHE_HASH_KEY = "meta/checkpoint_sha256"
@@ -88,8 +88,7 @@ def zsl_style_scores(v: np.ndarray, styles: StylePromptEmbeddings,
     """Per-style cosine scores for one unit image embedding."""
     v = np.asarray(v, dtype=np.float64)
     _check_unit("zsl_style_scores image embedding", v)
-    if mode not in ("single", "ensemble"):
-        raise ValueError(f"zsl_style_scores: unknown mode {mode!r}")
+    check_mode(mode)
     out: dict[str, float] = {}
     for name in styles.style_names():
         if mode == "single":
@@ -102,10 +101,14 @@ def zsl_style_scores(v: np.ndarray, styles: StylePromptEmbeddings,
     return out
 
 
-def _unit_rows(v: np.ndarray, mode: str) -> np.ndarray:
-    """Rows of `v` scaled to unit norm, once `mode` is known to be valid."""
+def check_mode(mode: str) -> None:
     if mode not in ("single", "ensemble"):
         raise ValueError(f"unknown zero-shot mode {mode!r}; expected 'single' or 'ensemble'")
+
+
+def _unit_rows(v: np.ndarray, mode: str) -> np.ndarray:
+    """Rows of `v` scaled to unit norm, once `mode` is known to be valid."""
+    check_mode(mode)
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
@@ -132,18 +135,26 @@ def style_scores(v: np.ndarray, styles: StylePromptEmbeddings, mode: str) -> np.
 # prompt embedding computation and caching
 # ---------------------------------------------------------------------------
 
+def _embed_texts(texts: list[str], params: ModelParams, cfg: ModelConfig,
+                 vocab: tok.Vocabulary) -> np.ndarray:
+    """Unit-norm frozen text embeddings (CLS outputs), one row per text, from
+    one batched forward."""
+    with ad.no_grad():
+        seqs = [tok.encode(text, vocab, "contrastive", cfg.max_text_length)
+                for text in texts]
+        return ad.l2_normalize(encode_text_batch(seqs, params, cfg)).data
+
+
 def embed_prompt(text: str, params: ModelParams, cfg: ModelConfig,
                  vocab: tok.Vocabulary) -> np.ndarray:
     """Unit-norm frozen text embedding of a prompt (CLS output)."""
-    with ad.no_grad():
-        seq = tok.encode(text, vocab, "contrastive", cfg.max_text_length)
-        hidden = encode_text_unimodal(seq, params, cfg)
-        return ad.l2_normalize(ad.index(hidden, -1)).data.copy()
+    return _embed_texts([text], params, cfg, vocab)[0]
 
 
 def embed_bank(bank: PromptBank, params: ModelParams, cfg: ModelConfig,
                vocab: tok.Vocabulary) -> dict[str, np.ndarray]:
-    return {text: embed_prompt(text, params, cfg, vocab) for text in bank.all_texts()}
+    texts = bank.all_texts()
+    return dict(zip(texts, _embed_texts(texts, params, cfg, vocab)))
 
 
 def pair_embeddings(bank: PromptBank, table: dict[str, np.ndarray]) -> list[PromptPairEmbedding]:

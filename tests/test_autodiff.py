@@ -311,6 +311,36 @@ def test_attention_matches_unfused_chain(l, m, mask_kind):
                                   arrays)
 
 
+def _layer_norm_np_mean(a, gamma, beta, g):
+    """layer_norm's output and its gradients for a, gamma, beta, written with np.mean."""
+    mu = a.mean(axis=-1, keepdims=True)
+    xc = a - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + ad.EPS)
+    xhat = xc * inv
+    out = (xhat * gamma + beta).astype(a.dtype)
+    gx = g * gamma
+    m1 = gx.mean(axis=-1, keepdims=True)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    return out, inv * (gx - m1 - xhat * m2), (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [64, 48, 7])
+def test_layer_norm_bitwise_equal_to_np_mean_formula(dtype, d):
+    rng = np.random.default_rng(d)
+    a, g = (rng.normal(loc=0.5, size=(3, 5, d)).astype(dtype) for _ in range(2))
+    gamma, beta = (rng.normal(size=d).astype(dtype) for _ in range(2))
+    ts = [Tensor(x, requires_grad=True) for x in (a, gamma, beta)]
+    out = ad.layer_norm(*ts)
+    backward(ad.sum_(ad.mul(out, Tensor(g))), leaves=ts)
+    want = _layer_norm_np_mean(a, gamma, beta, g)
+    got = (out.data,) + tuple(t.grad for t in ts)
+    for name, x, y in zip(("out", "a", "gamma", "beta"), got, want):
+        assert x.dtype == y.dtype == dtype, name
+        assert x.tobytes() == y.tobytes(), name
+
+
 def test_finite_diff_reports_non_finite_evaluations():
     def f(ps):
         return ad.log(ad.sum_(ps["x"]))  # sum can go negative -> clamped, derivative 0

@@ -124,6 +124,18 @@ def test_caption_lines_match_evaluate(workspace):
     assert [caption for _, caption in rows] == results["caption"]["captions"]
 
 
+@pytest.mark.parametrize("command", ["zsl", "caption"])
+def test_empty_manifest_rejected(workspace, capsys, command):
+    root, _, ckpt_path = workspace
+    empty = root / "empty.jsonl"
+    empty.write_text("")
+    out = root / f"{command}-empty.txt"
+    assert cli_dispatch([command, "--checkpoint", ckpt_path, "--manifest", str(empty),
+                         "--out", str(out)]) == 2
+    assert f"{empty}: empty manifest" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_prompts_round_trip(workspace):
     root, manifest, ckpt_path = workspace
     cache = str(root / "prompts.cache")

@@ -11,7 +11,7 @@ from critiq import tokenizer as tok
 from critiq.autodiff import Tensor
 from critiq.model import (ModelConfig, ModelParams, attentional_pool, decode_multimodal,
                           encode_image, encode_text_unimodal, generate_caption,
-                          image_embedding_batch, patchify)
+                          image_embedding_batch, patchify, pool_image)
 from critiq.zsl import embed_prompt
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
@@ -280,6 +280,81 @@ class TestMultimodalDecode:
         x = ln(x, params["mm/ln_f/g"].data, params["mm/ln_f/b"].data)
         expected = x @ params["head/w"].data + params["head/b"].data
         np.testing.assert_allclose(got, expected, atol=1e-6)
+
+
+# two layers per stack and two heads, so the cache crosses blocks and heads
+DEEP = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
+                   encoder_layers=1, unimodal_layers=2, multimodal_layers=2,
+                   mlp_dim=32, generative_pool_queries=3, vocab_size=32,
+                   max_text_length=10)
+
+
+def deep_params(seed: int, dtype=np.float32) -> ModelParams:
+    """DEEP parameters with every weight matrix drawn from N(0, 1/fan_in): at
+    the 0.02 init, greedy captions hardly depend on the image."""
+    params = ModelParams.initialize(DEEP, seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for t in params.tensors.values():
+        if t.data.ndim == 2:
+            t.data[...] = rng.normal(scale=t.shape[0] ** -0.5, size=t.shape)
+    return params
+
+
+class TestDecodeCache:
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("chunks", [(1,) * 8, (3, 1, 2, 1, 1)])
+    def test_cached_steps_match_full_prefix_logits(self, dtype, atol, chunks):
+        params = deep_params(21, dtype)
+        rng = np.random.default_rng(22)
+        pooled = Tensor(rng.normal(size=(DEEP.generative_pool_queries,
+                                         DEEP.hidden_dim)).astype(dtype))
+        seq = [tok.BOS] + [int(t) for t in rng.integers(4, DEEP.vocab_size, size=7)]
+        with ad.no_grad():
+            full = decode_multimodal(seq, pooled, params, DEEP).data
+            cache: dict = {}
+            stepped, start = [], 0
+            for n in chunks:
+                stepped.append(decode_multimodal(seq[start:start + n], pooled, params,
+                                                 DEEP, cache).data)
+                start += n
+        assert start == len(seq)
+        got = np.concatenate(stepped)
+        assert got.dtype == full.dtype and got.shape == full.shape
+        np.testing.assert_allclose(got, full, rtol=0, atol=atol)
+
+    def test_cache_rejected_while_gradients_are_on(self, tiny_params):
+        pooled = Tensor(np.zeros((2, TINY.hidden_dim), dtype=np.float32))
+        with pytest.raises(RuntimeError, match="no_grad"):
+            decode_multimodal([tok.BOS], pooled, tiny_params, TINY, {})
+
+    def test_generate_caption_matches_uncached_greedy_loop(self):
+        params = deep_params(26)
+        vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
+        valid = min(len(vocab), DEEP.vocab_size)
+
+        def uncached(img, max_len):
+            with ad.no_grad():
+                pooled = pool_image(encode_image(img, params, DEEP), params, "gen")
+                seq = [tok.BOS]
+                for _ in range(max_len):
+                    if len(seq) >= DEEP.max_text_length:
+                        break
+                    logits = decode_multimodal(seq, pooled, params, DEEP)
+                    nxt = int(np.argmax(logits.data[-1, :valid]))
+                    if nxt == tok.EOS:
+                        break
+                    seq.append(nxt)
+            return tok.decode(seq, vocab)
+
+        rng = np.random.default_rng(24)
+        captions = []
+        for _ in range(8):
+            img = rng.random((16, 16, 3)).astype(np.float32)
+            for max_len in (4, 16):
+                cap = generate_caption(img, params, DEEP, vocab, max_len=max_len)
+                assert cap == uncached(img, max_len)
+                captions.append(cap)
+        assert len(set(captions)) >= 4
 
 
 class TestGenerateCaption:

@@ -50,3 +50,8 @@ def test_every_site_traced_through_evaluate(backbone):
     assert names.count("zsl.embed_bank") == 1
     assert names.count("zsl.zsl_iaa_ensemble") == n
     assert names.count("imageio.read_image") == 2 * n
+    # the key/value cache feeds one position per decode step, [BOS] included
+    decodes = [s for i, s in enumerate(tracer.spans) if s.name == "model.decode_multimodal"
+               and parents[i] == "model.generate_caption"]
+    assert len(decodes) >= n
+    assert all(s.attrs["positions"] == 1 for s in decodes)

@@ -306,6 +306,18 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unknown task"):
             evaluate(out, corpus, ["nonsense"])
 
+    @pytest.mark.parametrize("tasks", [["caption"], ["zsl-iaa"]])
+    def test_unknown_mode_rejected_before_loading(self, tmp_path, corpus, tasks):
+        # the checkpoint does not exist: only a check made before loading can fire
+        missing = str(tmp_path / "missing.ckpt")
+        with pytest.raises(ValueError, match="unknown zero-shot mode 'bogus'"):
+            evaluate(missing, corpus, tasks, mode="bogus")
+
+    def test_zsl_score_lines_rejects_unknown_mode_before_loading(self, tmp_path, corpus):
+        missing = str(tmp_path / "missing.ckpt")
+        with pytest.raises(ValueError, match="unknown zero-shot mode 'bogus'"):
+            zsl_score_lines(missing, corpus, mode="bogus")
+
     def test_caption_metrics_present(self, trained, corpus):
         out, _, _, _ = trained
         _, results = evaluate(out, corpus, ["caption"])

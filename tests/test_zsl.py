@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from critiq import autodiff as ad
 from critiq import checkpoint as ckpt
 from critiq import tokenizer as tok
 from critiq import zsl
-from critiq.model import ModelConfig, ModelParams
+from critiq.model import ModelConfig, ModelParams, encode_text_unimodal
 from critiq.prompts import PromptBank
 from critiq.zsl import (PromptPairEmbedding, StylePromptEmbeddings, zsl_iaa_ensemble,
                         zsl_iaa_single, zsl_style_scores)
@@ -214,6 +215,22 @@ class TestPromptEmbeddingPipeline:
         assert len(table) == len(bank.all_texts())
         for v in table.values():
             assert abs(np.linalg.norm(v) - 1) < 1e-6
+
+    def test_batched_bank_matches_per_prompt_forward(self, setup):
+        # reference: each prompt alone through the unimodal stack, its CLS row
+        # normalized; the batch pads shorter prompts, which the causal mask hides
+        params, bank, vocab = setup
+        table = zsl.embed_bank(bank, params, self.CFG, vocab)
+        seqs = {text: tok.encode(text, vocab, "contrastive", self.CFG.max_text_length)
+                for text in bank.all_texts()}
+        assert len({len(s) for s in seqs.values()}) > 1
+        with ad.no_grad():
+            for text, seq in seqs.items():
+                cls = ad.index(encode_text_unimodal(seq, params, self.CFG), -1)
+                ref = ad.l2_normalize(cls).data
+                np.testing.assert_allclose(table[text], ref, rtol=0, atol=1e-6)
+                np.testing.assert_allclose(zsl.embed_prompt(text, params, self.CFG, vocab),
+                                           ref, rtol=0, atol=1e-6)
 
     def test_cache_round_trip_bitwise_and_hash_check(self, setup, tmp_path):
         params, bank, vocab = setup
