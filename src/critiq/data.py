@@ -174,7 +174,7 @@ def make_batches(records: list[ManifestRecord], batch_size: int,
             con_seqs.append(tok.encode(text, vocab, "contrastive", max_text_length))
             ids.append(rec.id)
         yield Batch(ids=ids,
-                    images=np.stack(images).astype(np.float32),
+                    images=np.stack(images).astype(np.float32, copy=False),
                     gen_tokens=_pad_gen(gen_seqs),
                     con_tokens=con_seqs)
 

@@ -381,18 +381,6 @@ def _run_unimodal(ids: np.ndarray, params: ModelParams, cfg: ModelConfig,
     return ad.layer_norm(x, params["uni/ln_f/g"], params["uni/ln_f/b"])
 
 
-def encode_text_unimodal(tokens: list[int], params: ModelParams,
-                         cfg: ModelConfig) -> Tensor:
-    """Causally-masked pass over a contrastive-mode sequence (ends in CLS).
-
-    Returns the (L, D) hidden states; the last row is the CLS output."""
-    if not tokens or tokens[-1] != tok.CLS:
-        raise ValueError("encode_text_unimodal: sequence must end in CLS")
-    ids = np.asarray([tokens], dtype=np.int64)
-    w = _run_unimodal(ids, params, cfg)
-    return ad.index(w, 0)
-
-
 def encode_text_batch(seqs: list[list[int]], params: ModelParams,
                       cfg: ModelConfig) -> Tensor:
     """Batched contrastive text encoding -> CLS outputs (N, D)."""

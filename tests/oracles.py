@@ -1,10 +1,14 @@
-"""Independent brute-force metric oracles shared by the metric tests and the
-acceptance suite. These deliberately use different data structures and control
-flow from the library implementations."""
+"""Independent brute-force oracles shared by the metric, model, zero-shot and
+image tests and the acceptance suite. These deliberately use different data
+structures and control flow from the library implementations."""
 
 import math
 
 import numpy as np
+
+from critiq import autodiff as ad
+from critiq import tokenizer as tok
+from critiq.model import ModelConfig, ModelParams, _run_unimodal
 
 
 def brute_force_ap(scores, labels):
@@ -142,3 +146,63 @@ def brute_force_plcc(preds, labels):
     sp = math.sqrt(sum((p - mp) ** 2 for p in preds))
     sl = math.sqrt(sum((l - ml) ** 2 for l in labels))
     return cov / (sp * sl)
+
+
+def brute_force_unfilter(raw: bytes, h: int, w: int, c: int) -> np.ndarray:
+    """PNG scanline unfiltering one byte at a time, straight from the filter
+    definitions: (h, w, c) uint8 from h rows of one filter-type byte plus
+    w * c filtered bytes."""
+    stride = w * c
+    out = np.zeros((h, stride), dtype=np.uint8)
+    pos = 0
+    for row in range(h):
+        if pos + 1 + stride > len(raw):
+            raise ValueError("truncated PNG scanline data")
+        ftype = raw[pos]
+        line = np.frombuffer(raw, dtype=np.uint8, offset=pos + 1, count=stride).astype(np.int32)
+        pos += 1 + stride
+        prev = out[row - 1].astype(np.int32) if row > 0 else np.zeros(stride, dtype=np.int32)
+        if ftype == 0:
+            cur = line
+        elif ftype == 1:
+            cur = line.copy()
+            for i in range(stride):
+                left = cur[i - c] if i >= c else 0
+                cur[i] = (line[i] + left) & 0xFF
+        elif ftype == 2:
+            cur = (line + prev) & 0xFF
+        elif ftype == 3:
+            cur = line.copy()
+            for i in range(stride):
+                left = cur[i - c] if i >= c else 0
+                cur[i] = (line[i] + ((left + prev[i]) >> 1)) & 0xFF
+        elif ftype == 4:
+            cur = line.copy()
+            for i in range(stride):
+                a = cur[i - c] if i >= c else 0
+                b = prev[i]
+                cc = prev[i - c] if i >= c else 0
+                p = a + b - cc
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - cc)
+                if pa <= pb and pa <= pc:
+                    pred = a
+                elif pb <= pc:
+                    pred = b
+                else:
+                    pred = cc
+                cur[i] = (line[i] + pred) & 0xFF
+        else:
+            raise ValueError(f"unknown PNG filter type {ftype}")
+        out[row] = cur.astype(np.uint8)
+    return out.reshape(h, w, c)
+
+
+def encode_text_unimodal(tokens: list[int], params: ModelParams,
+                         cfg: ModelConfig) -> ad.Tensor:
+    """One contrastive-mode sequence (ends in CLS) alone through the causal
+    unimodal stack, with no padding: the (L, D) hidden states, whose last row
+    is the CLS output. The per-position reference for the batched encoders."""
+    if not tokens or tokens[-1] != tok.CLS:
+        raise ValueError("encode_text_unimodal: sequence must end in CLS")
+    ids = np.asarray([tokens], dtype=np.int64)
+    return ad.index(_run_unimodal(ids, params, cfg), 0)

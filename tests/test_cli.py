@@ -1,19 +1,21 @@
 """Command-line surface: exit codes, smoke paths, and output files."""
 
+import dataclasses
 import json
 import os
 import pathlib
 
 import pytest
 
-from critiq import zsl
+from critiq import imageio, zsl
 from critiq.cli import cli_dispatch
 from critiq.config import TrainConfig
 from critiq.model import ModelConfig, ModelParams
-from critiq.data import load_manifest
+from critiq.data import load_manifest, record_image_path, save_manifest
 from critiq.tokenizer import Vocabulary
 from critiq.train import evaluate, vocab_path_for
 from critiq.util import sha256_file
+from perfbench import pngenc
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
                    encoder_layers=1, unimodal_layers=1, multimodal_layers=1,
@@ -83,6 +85,22 @@ def test_adapt_then_eval(workspace):
                          "--out", report_path]) == 0
     report = pathlib.Path(report_path).read_text()
     assert "task iaa" in report and "task zsl-iaa" in report
+
+
+def test_eval_on_a_truncated_png_exits_two_naming_it(workspace, tmp_path, capsys):
+    root, manifest, ckpt_path = workspace
+    records = load_manifest(manifest)
+    with open(record_image_path(records[2], manifest), "rb") as fh:
+        blob = pngenc.encode_png(imageio.decode_raw(fh.read()))[0]
+    (tmp_path / "cut.png").write_bytes(blob[:len(blob) // 2])
+    records = [dataclasses.replace(r, image=record_image_path(r, manifest)) for r in records]
+    records[2] = dataclasses.replace(records[2], image="cut.png")
+    damaged = str(tmp_path / "manifest.jsonl")
+    save_manifest(records, damaged)
+    assert cli_dispatch(["eval", "--checkpoint", ckpt_path, "--manifest", damaged,
+                         "--out", str(tmp_path / "r.txt"), "--task", "zsl-iaa"]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "cut.png") in err and "runs past the end of the file" in err
 
 
 def test_stage_mismatch_exits_two(workspace):

@@ -17,6 +17,7 @@ from critiq.data import (AugmentationConfig, Batch, ManifestRecord, augment,
                          steps_per_epoch)
 from critiq.metrics import srcc
 from critiq.synth import SynthSpec, generate_synthetic_corpus, mos_from_luminance
+from perfbench import pngenc
 
 
 class TestManifest:
@@ -229,43 +230,14 @@ class TestRawImageFormat:
             imageio.read_image(str(path))
 
 
-def _make_png(pixels: np.ndarray, filter_type: int = 0) -> bytes:
-    """Test-side PNG encoder using a single filter type for all rows."""
-    h, w, c = pixels.shape
-    color = {1: 0, 3: 2, 4: 6}[c]
-    raw = bytearray()
-    prev = np.zeros((w, c), dtype=np.int32)
-    for row in range(h):
-        cur = pixels[row].astype(np.int32)
-        raw.append(filter_type)
-        if filter_type == 0:
-            enc = cur
-        elif filter_type == 1:
-            left = np.vstack([np.zeros((1, c), dtype=np.int32), cur[:-1]])
-            enc = (cur - left) % 256
-        elif filter_type == 2:
-            enc = (cur - prev) % 256
-        else:
-            raise ValueError
-        raw.extend(enc.astype(np.uint8).tobytes())
-        prev = cur
-    def chunk(ctype, data):
-        return (struct.pack(">I", len(data)) + ctype + data
-                + struct.pack(">I", zlib.crc32(ctype + data)))
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, color, 0, 0, 0)
-    return (imageio.PNG_SIGNATURE + chunk(b"IHDR", ihdr)
-            + chunk(b"IDAT", zlib.compress(bytes(raw)))
-            + chunk(b"IEND", b""))
-
-
 class TestPngDecode:
     @pytest.mark.parametrize("channels", [1, 3, 4])
-    @pytest.mark.parametrize("filter_type", [0, 1, 2])
+    @pytest.mark.parametrize("filter_type", [0, 1, 2, 3, 4])
     def test_round_trip(self, tmp_path, channels, filter_type):
         rng = np.random.default_rng(channels * 10 + filter_type)
         pixels = rng.integers(0, 256, size=(6, 5, channels), dtype=np.uint8)
         path = tmp_path / "x.png"
-        path.write_bytes(_make_png(pixels, filter_type))
+        path.write_bytes(pngenc.encode_png(pixels, filter_type)[0])
         back = imageio.read_image(str(path))
         np.testing.assert_array_equal((back * 255).round().astype(np.uint8), pixels)
 

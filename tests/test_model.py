@@ -10,9 +10,10 @@ from critiq import autodiff as ad
 from critiq import tokenizer as tok
 from critiq.autodiff import Tensor
 from critiq.model import (ModelConfig, ModelParams, attentional_pool, decode_multimodal,
-                          encode_image, encode_text_unimodal, generate_caption,
-                          image_embedding_batch, patchify, pool_image)
+                          encode_image, generate_caption, image_embedding_batch,
+                          patchify, pool_image)
 from critiq.zsl import embed_prompt
+from oracles import encode_text_unimodal
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
                    encoder_layers=1, unimodal_layers=1, multimodal_layers=1,

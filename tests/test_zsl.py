@@ -10,10 +10,11 @@ from critiq import autodiff as ad
 from critiq import checkpoint as ckpt
 from critiq import tokenizer as tok
 from critiq import zsl
-from critiq.model import ModelConfig, ModelParams, encode_text_unimodal
+from critiq.model import ModelConfig, ModelParams
 from critiq.prompts import PromptBank
 from critiq.zsl import (PromptPairEmbedding, StylePromptEmbeddings, zsl_iaa_ensemble,
                         zsl_iaa_single, zsl_style_scores)
+from oracles import encode_text_unimodal
 
 
 def unit(v):
