@@ -487,19 +487,6 @@ def sum_(a: Tensor, axis=None) -> Tensor:
     return _make(np.asarray(out_data, dtype=a.dtype), (a,), backward_fn)
 
 
-def mean(a: Tensor, axis=None) -> Tensor:
-    count = a.data.size if axis is None else a.shape[axis]
-    out_data = a.data.mean(axis=axis)
-
-    def backward_fn(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g / count, a.shape).copy())
-        else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g / count, axis), a.shape).copy())
-
-    return _make(np.asarray(out_data, dtype=a.dtype), (a,), backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # backward driver
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ and prompt embedding caches (tensor name = prompt text).
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
@@ -78,7 +79,18 @@ class _Reader:
 
 def load(path: str) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
+        return _parse(fh.read(), path)
+
+
+def read(path: str) -> tuple[dict[str, np.ndarray], bytes]:
+    """`load`, plus the SHA-256 of the bytes parsed; hashing costs more than
+    reading, so `load` skips it."""
+    with open(path, "rb") as fh:
         blob = fh.read()
+    return _parse(blob, path), hashlib.sha256(blob).digest()
+
+
+def _parse(blob: bytes, path: str) -> dict[str, np.ndarray]:
     r = _Reader(blob, path)
     if r.take(4) != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint container)")

@@ -207,7 +207,13 @@ class ModelParams:
     def load(cls, path: str, expected_config: ModelConfig | None = None,
              dtype=np.float32) -> tuple["ModelParams", dict[str, np.ndarray]]:
         """Load params plus any extra (opt/meta) tensors; validates the registry."""
-        raw = ckpt.load(path)
+        return cls.from_tensors(ckpt.load(path), path, expected_config, dtype)
+
+    @classmethod
+    def from_tensors(cls, raw: dict[str, np.ndarray], path: str,
+                     expected_config: ModelConfig | None = None, dtype=np.float32
+                     ) -> tuple["ModelParams", dict[str, np.ndarray]]:
+        """`load` on tensors already read from the checkpoint at `path`."""
         cfg_fields = {}
         for f in fields(ModelConfig):
             key = f"meta/config/{f.name}"
@@ -396,6 +402,72 @@ def image_embedding_batch(images, params: ModelParams, cfg: ModelConfig) -> Tens
     return ad.reshape(pooled, (pooled.shape[0], pooled.shape[2]))
 
 
+class PrefixCache:
+    """Unimodal text-decoder states by token prefix, bound to one `ModelParams`.
+
+    The unimodal stack never sees the image, so its output for a token prefix
+    is the same for every image: one cache shared by the captions of a run
+    computes it once per distinct prefix. The prefixes form a trie. Each node
+    holds only its own position's final-LN output row and each layer's key and
+    value rows; a new position's context is assembled from the rows along its
+    path. The params must not change while the cache is in use."""
+
+    def __init__(self, params: ModelParams):
+        self.params = params
+        self.root = _Prefix(None, 0, None, None)
+
+    def extend(self, node: "_Prefix", tokens: list[int], params: ModelParams,
+               cfg: ModelConfig) -> tuple["_Prefix", Tensor]:
+        """Feed `tokens` after `node`'s prefix: the node of the extended prefix
+        and the unimodal output of the fed positions, (1, len(tokens), D).
+        Stored rows serve the prefixes seen before; one stack run serves the
+        rest, whose new nodes are added."""
+        if params is not self.params:
+            raise ValueError("prefix cache was built for other ModelParams")
+        rows = []
+        for t in tokens:
+            child = node.children.get(t)
+            if child is None:
+                break
+            node = child
+            rows.append(node.out)
+        rest = tokens[len(rows):]
+        if rest:
+            start = node.length
+            path = []
+            at = node
+            while at.parent is not None:
+                path.append(at.kv)
+                at = at.parent
+            kv = {}
+            if path:
+                held = np.stack(path[::-1])[None]           # (1, start, layers, 2, D)
+                kv = {f"uni/{i}/attn": (Tensor(held[:, :, i, 0]), Tensor(held[:, :, i, 1]))
+                      for i in range(cfg.unimodal_layers)}
+            x = _run_unimodal(np.asarray([rest], dtype=np.int64), params, cfg, start, kv)
+            layers = [kv[f"uni/{i}/attn"] for i in range(cfg.unimodal_layers)]
+            new_kv = np.stack([np.stack((k.data[0, start:], v.data[0, start:]), axis=1)
+                               for k, v in layers], axis=1)  # (len(rest), layers, 2, D)
+            for p, t in enumerate(rest):
+                child = _Prefix(node, start + p + 1, x.data[0, p], new_kv[p])
+                node.children[t] = child
+                node = child
+                rows.append(node.out)
+        return node, Tensor(np.stack(rows)[None])
+
+
+class _Prefix:
+    """One trie node: a token prefix's last position."""
+    __slots__ = ("parent", "length", "out", "kv", "children")
+
+    def __init__(self, parent, length: int, out, kv):
+        self.parent = parent
+        self.length = length
+        self.out = out              # (D,) final-LN unimodal output
+        self.kv = kv                # (layers, 2, D) self-attention key and value rows
+        self.children: dict[int, _Prefix] = {}
+
+
 def decode_multimodal(tokens, pooled_v: Tensor, params: ModelParams,
                       cfg: ModelConfig, cache: dict | None = None) -> Tensor:
     """Caption logits, causal in text, cross-attending to pooled image tokens.
@@ -403,9 +475,11 @@ def decode_multimodal(tokens, pooled_v: Tensor, params: ModelParams,
     tokens: list[int] with pooled_v (n_q, D), or list[list[int]] / int array
     with pooled_v (N, n_q, D). Returns (L, vocab) or (N, L, vocab).
 
-    `cache` is a dict the caller owns, empty at the first call for an image.
-    With one, each call feeds only the tokens that follow those already fed,
-    and the keys and values of earlier positions are reused instead of
+    `cache` is a dict the caller owns for one image's sequence, empty at the
+    first call but for an optional `PrefixCache` under "prefixes" (a fresh one
+    is made otherwise). With one, each call feeds only the tokens that follow
+    those already fed: the unimodal outputs come from the prefix cache, and the
+    multimodal keys and values of earlier positions are reused instead of
     recomputed. Cached arrays are cut from the graph, so a cache needs
     `ad.no_grad()`.
     """
@@ -421,33 +495,50 @@ def decode_multimodal(tokens, pooled_v: Tensor, params: ModelParams,
     if ids.ndim != 2 or ids.shape[0] != pooled_v.shape[0]:
         raise ad.ShapeError(f"decode_multimodal: token batch {ids.shape} does not match "
                             f"pooled image batch {pooled_v.shape}")
-    start = 0 if cache is None else cache.get("length", 0)
-    x = _run_unimodal(ids, params, cfg, start, cache)
+    if cache is None:
+        start = 0
+        x = _run_unimodal(ids, params, cfg)
+    else:
+        if ids.shape[0] != 1:
+            raise ad.ShapeError(f"decode_multimodal: a cache holds one sequence, "
+                                f"got a batch of {ids.shape[0]}")
+        if "prefixes" not in cache:
+            cache["prefixes"] = PrefixCache(params)
+        node = cache.get("node", cache["prefixes"].root)
+        start = node.length
+        cache["node"], x = cache["prefixes"].extend(node, ids[0].tolist(), params, cfg)
     mask = _causal_mask(ids.shape[-1], start)
     for i in range(cfg.multimodal_layers):
         x = _block(x, params, f"mm/{i}", cfg.n_heads, mask=mask, memory=pooled_v,
                    cache=cache)
-    if cache is not None:
-        cache["length"] = start + ids.shape[-1]
     x = ad.layer_norm(x, params["mm/ln_f/g"], params["mm/ln_f/b"])
     logits = _linear(x, params, "head/w", "head/b")
     return ad.index(logits, 0) if single else logits
 
 
+def check_max_len(max_len: int) -> None:
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
+
+
 def generate_caption(image, params: ModelParams, cfg: ModelConfig,
-                     vocab: tok.Vocabulary, max_len: int = 16) -> str:
+                     vocab: tok.Vocabulary, max_len: int = 16,
+                     prefixes: PrefixCache | None = None) -> str:
     """Greedy autoregressive decoding from BOS until EOS or max_len tokens.
 
     The argmax is restricted to ids the vocabulary actually assigns (the
     logit head is sized for the configured maximum, which a small corpus
     may not fill). Each step feeds only the newest token; a key/value cache
-    holds the rest of the prefix."""
+    holds the rest of the prefix. Pass one `prefixes` cache to the calls for
+    many images to share their unimodal states; a fresh one is made if none
+    is given."""
+    check_max_len(max_len)
     valid = min(len(vocab), cfg.vocab_size)
     with ad.no_grad():
         v = encode_image(image, params, cfg)
         pooled = pool_image(v, params, "gen")
         seq = [tok.BOS]
-        cache: dict = {}
+        cache = {"prefixes": PrefixCache(params) if prefixes is None else prefixes}
         for _ in range(max_len):
             if len(seq) >= cfg.max_text_length:
                 break

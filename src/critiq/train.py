@@ -30,12 +30,12 @@ from .config import TrainConfig
 from .data import (AugmentationConfig, ManifestRecord, load_manifest, make_batches,
                    record_image_path, steps_per_epoch)
 from .imageio import read_image
-from .model import (ModelConfig, ModelParams, decode_multimodal, encode_image,
-                    encode_text_batch, generate_caption, image_embedding_batch,
-                    pool_image)
+from .model import (ModelConfig, ModelParams, PrefixCache, check_max_len,
+                    decode_multimodal, encode_image, encode_text_batch, generate_caption,
+                    image_embedding_batch, pool_image)
 from .optim import AdamW, clip_global_norm, linear_decay_lr
 from .prompts import PromptBank
-from .util import sha256_file, write_atomic
+from .util import write_atomic
 
 ANCHOR_PROMPT = "good image"
 TASKS = ("iaa", "zsl-iaa", "zsl-style", "caption")
@@ -68,10 +68,12 @@ def vocab_path_for(checkpoint_path: str) -> str:
     return checkpoint_path + ".vocab"
 
 
-def load_backbone(path: str) -> tuple[ModelParams, tok.Vocabulary]:
-    """A pretrained checkpoint's parameters and the vocabulary saved beside it."""
-    params, _ = ModelParams.load(path)
-    return params, tok.Vocabulary.load(vocab_path_for(path))
+def load_backbone(path: str) -> tuple[ModelParams, tok.Vocabulary, bytes]:
+    """A pretrained checkpoint's parameters, the vocabulary saved beside it, and
+    the SHA-256 of the checkpoint bytes the parameters were parsed from."""
+    raw, digest = ckpt.read(path)
+    params, _ = ModelParams.from_tensors(raw, path)
+    return params, tok.Vocabulary.load(vocab_path_for(path)), digest
 
 
 def load_records(manifest_path: str) -> list[ManifestRecord]:
@@ -231,7 +233,7 @@ def adapter_finetune(cfg: TrainConfig, manifest_path: str, backbone_path: str,
         raise ValueError(f"adapter_finetune called with stage={cfg.stage!r}")
     records = load_manifest(manifest_path)
     labels = _require_mos(records, "adapter finetuning")
-    params, vocab = load_backbone(backbone_path)
+    params, vocab, backbone_hash = load_backbone(backbone_path)
     backbone_before = {n: t.data.tobytes() for n, t in params.items()}
 
     embeddings = embed_images(params, params.config, records, manifest_path)
@@ -287,11 +289,13 @@ def adapter_finetune(cfg: TrainConfig, manifest_path: str, backbone_path: str,
         "tunable_fraction": tunable / params.total_count(),
         "updated_tensors": sorted(trainable),
     }
-    save_adapter(adapter, out_path, backbone_path)
+    save_adapter(adapter, out_path, backbone_hash)
     return adapter, log, info
 
 
-def save_adapter(adapter: obj.AdapterState, path: str, backbone_path: str) -> None:
+def save_adapter(adapter: obj.AdapterState, path: str, backbone_hash: bytes) -> None:
+    """Write the adapter, bound to the backbone checkpoint whose SHA-256 is
+    `backbone_hash`."""
     tensors: dict[str, np.ndarray] = {
         "adapter/residual": adapter.residual.data,
         "adapter/anchor": adapter.anchor,
@@ -302,7 +306,7 @@ def save_adapter(adapter: obj.AdapterState, path: str, backbone_path: str) -> No
     if adapter.learnable_anchor is not None:
         tensors["adapter/learnable_anchor"] = adapter.learnable_anchor.data
     tensors[ADAPTER_HASH_KEY] = np.frombuffer(
-        sha256_file(backbone_path), dtype=np.uint8).astype(np.float64)
+        backbone_hash, dtype=np.uint8).astype(np.float64)
     ckpt.save(tensors, path)
 
 
@@ -342,23 +346,27 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def prompt_table(backbone_path: str, params: ModelParams, vocab: tok.Vocabulary,
+def prompt_table(backbone_hash: bytes, params: ModelParams, vocab: tok.Vocabulary,
                  prompt_cache: str | None) -> dict[str, np.ndarray]:
     """Default-bank prompt embeddings: the cache, checked against the backbone
-    checkpoint, when one is given; otherwise embedded fresh."""
+    checkpoint's SHA-256, when one is given; otherwise embedded fresh."""
     if prompt_cache is not None:
-        return zsl.load_prompt_cache(prompt_cache, sha256_file(backbone_path))
+        return zsl.load_prompt_cache(prompt_cache, backbone_hash)
     return zsl.embed_bank(PromptBank.default(), params, params.config, vocab)
 
 
 def caption_images(params: ModelParams, vocab: tok.Vocabulary,
                    records: list[ManifestRecord], manifest_path: str,
                    max_len: int) -> list[str]:
-    """Greedy caption of each record's center crop, in record order."""
+    """Greedy caption of each record's center crop, in record order. The
+    captions share one prefix cache, so the text-only stack runs once per
+    distinct token prefix."""
+    check_max_len(max_len)
     cfg = params.config
+    prefixes = PrefixCache(params)
     return [generate_caption(center_crop(read_image(record_image_path(r, manifest_path)),
                                          cfg.image_size),
-                             params, cfg, vocab, max_len=max_len)
+                             params, cfg, vocab, max_len=max_len, prefixes=prefixes)
             for r in records]
 
 
@@ -371,7 +379,8 @@ def evaluate(backbone_path: str, manifest_path: str, tasks,
         if t not in TASKS:
             raise ValueError(f"unknown task {t!r}; expected a subset of {TASKS}")
     zsl.check_mode(mode)
-    params, vocab = load_backbone(backbone_path)
+    check_max_len(caption_max_len)
+    params, vocab, backbone_hash = load_backbone(backbone_path)
     records = load_records(manifest_path)
     results: dict = {}
     lines = ["evaluation report", f"manifest: {manifest_path}", f"n: {len(records)}"]
@@ -380,13 +389,13 @@ def evaluate(backbone_path: str, manifest_path: str, tasks,
         v_all = embed_images(params, params.config, records, manifest_path)
     if "zsl-iaa" in tasks or "zsl-style" in tasks:
         bank = PromptBank.default()
-        table = prompt_table(backbone_path, params, vocab, prompt_cache)
+        table = prompt_table(backbone_hash, params, vocab, prompt_cache)
 
     if "iaa" in tasks:
         if adapter_path is None:
             raise ValueError("task 'iaa' requires an adapter checkpoint")
         mos = _require_mos(records, "task 'iaa'")
-        adapter = load_adapter(adapter_path, sha256_file(backbone_path))
+        adapter = load_adapter(adapter_path, backbone_hash)
         with ad.no_grad():
             scores = obj.score_images(Tensor(v_all), adapter).data.astype(np.float64)
         results["iaa"] = {"srcc": met.srcc(scores, mos), "plcc": met.plcc(scores, mos)}
@@ -455,11 +464,11 @@ def zsl_score_lines(backbone_path: str, manifest_path: str, task: str = "iaa",
     if task not in ("iaa", "style"):
         raise ValueError(f"zsl task must be 'iaa' or 'style', got {task!r}")
     zsl.check_mode(mode)
-    params, vocab = load_backbone(backbone_path)
+    params, vocab, backbone_hash = load_backbone(backbone_path)
     records = load_records(manifest_path)
     v_all = embed_images(params, params.config, records, manifest_path)
     bank = PromptBank.default()
-    table = prompt_table(backbone_path, params, vocab, prompt_cache)
+    table = prompt_table(backbone_hash, params, vocab, prompt_cache)
     if task == "iaa":
         rows = [[s] for s in zsl.iaa_scores(v_all, zsl.pair_embeddings(bank, table), mode)]
     else:
@@ -471,7 +480,7 @@ def zsl_score_lines(backbone_path: str, manifest_path: str, task: str = "iaa",
 
 def export_prompt_cache(backbone_path: str, out_path: str) -> int:
     """Embed the whole default bank (anchor included) and cache it."""
-    params, vocab = load_backbone(backbone_path)
+    params, vocab, backbone_hash = load_backbone(backbone_path)
     table = zsl.embed_bank(PromptBank.default(), params, params.config, vocab)
-    zsl.save_prompt_cache(table, sha256_file(backbone_path), out_path)
+    zsl.save_prompt_cache(table, backbone_hash, out_path)
     return len(table)

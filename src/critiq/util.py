@@ -1,8 +1,7 @@
-"""Small shared helpers: atomic file writes and content hashing."""
+"""Small shared helpers: atomic file writes."""
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 
@@ -20,11 +19,3 @@ def write_atomic(path: str, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def sha256_file(path: str) -> bytes:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.digest()

@@ -2,13 +2,15 @@
 image tests and the acceptance suite. These deliberately use different data
 structures and control flow from the library implementations."""
 
+import hashlib
 import math
 
 import numpy as np
 
 from critiq import autodiff as ad
 from critiq import tokenizer as tok
-from critiq.model import ModelConfig, ModelParams, _run_unimodal
+from critiq.model import (ModelConfig, ModelParams, _run_unimodal, decode_multimodal,
+                          encode_image, pool_image)
 
 
 def brute_force_ap(scores, labels):
@@ -206,3 +208,48 @@ def encode_text_unimodal(tokens: list[int], params: ModelParams,
         raise ValueError("encode_text_unimodal: sequence must end in CLS")
     ids = np.asarray([tokens], dtype=np.int64)
     return ad.index(_run_unimodal(ids, params, cfg), 0)
+
+
+def uncached_greedy_caption(image, params: ModelParams, cfg: ModelConfig,
+                            vocab: tok.Vocabulary, max_len: int) -> str:
+    """Greedy captioning that decodes the whole prefix afresh at every step,
+    with no cache of any kind: the reference for the cached decoder."""
+    valid = min(len(vocab), cfg.vocab_size)
+    with ad.no_grad():
+        pooled = pool_image(encode_image(image, params, cfg), params, "gen")
+        seq = [tok.BOS]
+        for _ in range(max_len):
+            if len(seq) >= cfg.max_text_length:
+                break
+            logits = decode_multimodal(seq, pooled, params, cfg)
+            nxt = int(np.argmax(logits.data[-1, :valid]))
+            if nxt == tok.EOS:
+                break
+            seq.append(nxt)
+    return tok.decode(seq, vocab)
+
+
+def sha256_file(path: str) -> bytes:
+    """SHA-256 of a file's bytes, read in chunks apart from any parser."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.digest()
+
+
+def mean(a: ad.Tensor, axis=None) -> ad.Tensor:
+    """A mean reduction op on the autodiff engine's private `_make` and
+    `_accumulate`; no model code uses it, and its finite-difference cases
+    keep the reduction gradient rule covered."""
+    count = a.data.size if axis is None else a.shape[axis]
+    out_data = a.data.mean(axis=axis)
+
+    def backward_fn(g):
+        if axis is None:
+            ad._accumulate(a, np.broadcast_to(g / count, a.shape).copy())
+        else:
+            ad._accumulate(a, np.broadcast_to(np.expand_dims(g / count, axis),
+                                              a.shape).copy())
+
+    return ad._make(np.asarray(out_data, dtype=a.dtype), (a,), backward_fn)

@@ -27,9 +27,8 @@ from critiq.model import ModelConfig, ModelParams
 from critiq.synth import SynthSpec, generate_synthetic_corpus
 from critiq.train import (adapter_finetune, evaluate, export_prompt_cache, pretrain,
                           vocab_path_for)
-from critiq.util import sha256_file
 from oracles import (brute_force_ap, brute_force_bleu, brute_force_cider,
-                     brute_force_plcc, brute_force_rouge_l, brute_force_srcc)
+                     brute_force_plcc, brute_force_rouge_l, brute_force_srcc, sha256_file)
 
 
 def report(num: int, ok: bool, detail: str) -> None:

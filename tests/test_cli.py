@@ -14,7 +14,7 @@ from critiq.model import ModelConfig, ModelParams
 from critiq.data import load_manifest, record_image_path, save_manifest
 from critiq.tokenizer import Vocabulary
 from critiq.train import evaluate, vocab_path_for
-from critiq.util import sha256_file
+from oracles import sha256_file
 from perfbench import pngenc
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
@@ -140,6 +140,16 @@ def test_caption_lines_match_evaluate(workspace):
     _, results = evaluate(ckpt_path, manifest, ["caption"])
     assert [rid for rid, _ in rows] == [r.id for r in load_manifest(manifest)]
     assert [caption for _, caption in rows] == results["caption"]["captions"]
+
+
+@pytest.mark.parametrize("max_len", ["0", "-3"])
+def test_caption_max_len_below_one_exits_two(workspace, capsys, max_len):
+    root, manifest, ckpt_path = workspace
+    out = root / f"captions{max_len}.txt"
+    assert cli_dispatch(["caption", "--checkpoint", ckpt_path, "--manifest", manifest,
+                         "--out", str(out), "--max-len", max_len]) == 2
+    assert f"max_len must be at least 1, got {max_len}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["zsl", "caption"])

@@ -7,13 +7,18 @@ import numpy as np
 import pytest
 
 from critiq import autodiff as ad
+from critiq import model
 from critiq import tokenizer as tok
 from critiq.autodiff import Tensor
-from critiq.model import (ModelConfig, ModelParams, attentional_pool, decode_multimodal,
-                          encode_image, generate_caption, image_embedding_batch,
-                          patchify, pool_image)
+from critiq.data import load_manifest, record_image_path
+from critiq.imageio import read_image
+from critiq.model import (ModelConfig, ModelParams, PrefixCache, attentional_pool,
+                          decode_multimodal, encode_image, generate_caption,
+                          image_embedding_batch, patchify, pool_image)
+from critiq.synth import SynthSpec, generate_synthetic_corpus
+from critiq.train import caption_images, center_crop
 from critiq.zsl import embed_prompt
-from oracles import encode_text_unimodal
+from oracles import encode_text_unimodal, uncached_greedy_caption
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
                    encoder_layers=1, unimodal_layers=1, multimodal_layers=1,
@@ -331,31 +336,126 @@ class TestDecodeCache:
     def test_generate_caption_matches_uncached_greedy_loop(self):
         params = deep_params(26)
         vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
-        valid = min(len(vocab), DEEP.vocab_size)
-
-        def uncached(img, max_len):
-            with ad.no_grad():
-                pooled = pool_image(encode_image(img, params, DEEP), params, "gen")
-                seq = [tok.BOS]
-                for _ in range(max_len):
-                    if len(seq) >= DEEP.max_text_length:
-                        break
-                    logits = decode_multimodal(seq, pooled, params, DEEP)
-                    nxt = int(np.argmax(logits.data[-1, :valid]))
-                    if nxt == tok.EOS:
-                        break
-                    seq.append(nxt)
-            return tok.decode(seq, vocab)
-
         rng = np.random.default_rng(24)
         captions = []
         for _ in range(8):
             img = rng.random((16, 16, 3)).astype(np.float32)
             for max_len in (4, 16):
                 cap = generate_caption(img, params, DEEP, vocab, max_len=max_len)
-                assert cap == uncached(img, max_len)
+                assert cap == uncached_greedy_caption(img, params, DEEP, vocab, max_len)
                 captions.append(cap)
         assert len(set(captions)) >= 4
+
+
+class TestPrefixCache:
+    """One `PrefixCache` shared by the captions of a run: the unimodal stack
+    runs once per distinct token prefix, and nothing else changes."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("prefix")
+        manifest = generate_synthetic_corpus(SynthSpec(count=16), str(root), 5)
+        return load_manifest(manifest), manifest
+
+    @staticmethod
+    def crops(corpus):
+        records, manifest = corpus
+        return [center_crop(read_image(record_image_path(r, manifest)), DEEP.image_size)
+                for r in records]
+
+    @staticmethod
+    def nodes(prefixes):
+        """Every node of the prefix trie but its root."""
+        out, stack = [], list(prefixes.root.children.values())
+        while stack:
+            out.append(stack.pop())
+            stack.extend(out[-1].children.values())
+        return out
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Wrap the decoder the caption loop calls: per image, the logits of
+        each step and the token prefix each step fed."""
+        steps: list[tuple[tuple[int, ...], bytes]] = []
+        fed: dict[int, tuple[dict, list[int]]] = {}   # holds each cache, so ids stay unique
+        inner = model.decode_multimodal
+
+        def wrapper(tokens, pooled, params, cfg, cache=None):
+            seq = fed.setdefault(id(cache), (cache, []))[1]
+            seq.extend(tokens)
+            out = inner(tokens, pooled, params, cfg, cache)
+            steps.append((tuple(seq), out.data.tobytes()))
+            return out
+
+        monkeypatch.setattr(model, "decode_multimodal", wrapper)
+        return steps
+
+    @pytest.mark.parametrize("max_len", [4, 16])
+    def test_shared_captions_equal_fresh_and_uncached(self, corpus, max_len):
+        params = deep_params(34)
+        vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
+        shared = caption_images(params, vocab, corpus[0], corpus[1], max_len)
+        images = self.crops(corpus)
+        fresh = [generate_caption(img, params, DEEP, vocab, max_len) for img in images]
+        uncached = [uncached_greedy_caption(img, params, DEEP, vocab, max_len)
+                    for img in images]
+        assert shared == fresh == uncached
+        # distinct captions that share words, so a cache keyed on less than
+        # the whole prefix would hand one caption another's states
+        assert len(set(shared)) >= 6
+
+    def test_step_logits_bytewise_equal_to_per_image_caches(self, corpus, monkeypatch):
+        params = deep_params(34)
+        vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
+        steps = self.recorded(monkeypatch)
+        images = self.crops(corpus)
+        prefixes = PrefixCache(params)
+        for img in images:
+            generate_caption(img, params, DEEP, vocab, 16, prefixes)
+        shared = list(steps)
+        steps.clear()
+        for img in images:
+            generate_caption(img, params, DEEP, vocab, 16)
+        assert len(shared) > len(images)
+        assert shared == steps
+
+    def test_one_node_per_distinct_prefix(self, corpus, monkeypatch):
+        params = deep_params(34)
+        vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
+        steps = self.recorded(monkeypatch)
+        prefixes = PrefixCache(params)
+        for img in self.crops(corpus):
+            generate_caption(img, params, DEEP, vocab, 16, prefixes)
+        distinct = {prefix for prefix, _ in steps}
+        assert len(distinct) < len(steps)          # some steps were hits
+        assert len(self.nodes(prefixes)) == len(distinct)
+
+    def test_node_holds_its_own_position_only(self, corpus):
+        params = deep_params(34)
+        vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
+        prefixes = PrefixCache(params)
+        for img in self.crops(corpus):
+            generate_caption(img, params, DEEP, vocab, 16, prefixes)
+        per_node = (2 * DEEP.unimodal_layers + 1) * DEEP.hidden_dim
+        depths = set()
+        for node in self.nodes(prefixes):
+            depths.add(node.length)
+            # what the node keeps alive: its arrays, or the arrays they view
+            owners = [a if a.base is None else a.base for a in (node.out, node.kv)]
+            assert sum({id(a): a.size for a in owners}.values()) <= per_node
+        assert len(depths) == DEEP.max_text_length - 1
+
+    def test_cache_bound_to_its_params(self):
+        params, other = deep_params(34), deep_params(35)
+        vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
+        img = np.random.default_rng(3).random((16, 16, 3)).astype(np.float32)
+        prefixes = PrefixCache(params)
+        generate_caption(img, params, DEEP, vocab, 4, prefixes)
+        with pytest.raises(ValueError, match="other ModelParams"):
+            generate_caption(img, other, DEEP, vocab, 4, prefixes)
+        copy = ModelParams(dict(params.items()), DEEP)
+        with pytest.raises(ValueError, match="other ModelParams"):
+            generate_caption(img, copy, DEEP, vocab, 4, prefixes)
 
 
 class TestGenerateCaption:
@@ -364,6 +464,12 @@ class TestGenerateCaption:
         img = np.random.default_rng(14).random((16, 16, 3)).astype(np.float32)
         cap = generate_caption(img, tiny_params, TINY, vocab, max_len=1)
         assert len(cap.split()) <= 1
+
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_max_len_below_one_rejected(self, tiny_params, max_len):
+        img = np.zeros((16, 16, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match="max_len"):
+            generate_caption(img, tiny_params, TINY, tok.Vocabulary(["good"]), max_len)
 
     def test_deterministic(self, tiny_params):
         vocab = tok.Vocabulary(["good", "image", "bad", "light"])

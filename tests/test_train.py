@@ -1,6 +1,7 @@
 """Training orchestration: determinism, resume equality, the freeze contract,
 schedules, and the evaluation drivers."""
 
+import builtins
 import json
 import math
 import os
@@ -15,14 +16,15 @@ from critiq import objectives as obj
 from critiq import tokenizer as tok
 from critiq import zsl
 from critiq.config import TrainConfig
-from critiq.data import Batch, load_manifest, save_manifest
-from critiq.model import ModelConfig, ModelParams
+from critiq.data import Batch, load_manifest, record_image_path, save_manifest
+from critiq.imageio import read_image
+from critiq.model import ModelConfig, ModelParams, generate_caption
 from critiq.prompts import PromptBank
 from critiq.synth import SynthSpec, generate_synthetic_corpus
-from critiq.train import (RunLog as RunLogBytes, adapter_finetune, embed_images,
-                          evaluate, export_prompt_cache, load_adapter, pretrain,
-                          pretrain_step_loss, vocab_path_for, zsl_score_lines)
-from critiq.util import sha256_file
+from critiq.train import (RunLog as RunLogBytes, adapter_finetune, center_crop,
+                          embed_images, evaluate, export_prompt_cache, load_adapter,
+                          pretrain, pretrain_step_loss, vocab_path_for, zsl_score_lines)
+from oracles import sha256_file, uncached_greedy_caption
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
                    encoder_layers=1, unimodal_layers=1, multimodal_layers=1,
@@ -312,6 +314,48 @@ class TestEvaluate:
         missing = str(tmp_path / "missing.ckpt")
         with pytest.raises(ValueError, match="unknown zero-shot mode 'bogus'"):
             evaluate(missing, corpus, tasks, mode="bogus")
+
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_caption_max_len_below_one_rejected_before_loading(self, tmp_path, corpus,
+                                                               max_len):
+        missing = str(tmp_path / "missing.ckpt")
+        with pytest.raises(ValueError, match=f"max_len must be at least 1, got {max_len}"):
+            evaluate(missing, corpus, ["caption"], caption_max_len=max_len)
+
+    def test_backbone_read_once_per_job(self, trained, corpus, tmp_path, monkeypatch):
+        out, _, _, _ = trained
+        cfg = TrainConfig(stage="adapt", steps=4, batch_size=5, learning_rate=5e-3,
+                          seed=1, model=TINY)
+        adapter_path = str(tmp_path / "a.ckpt")
+        cache = str(tmp_path / "prompts.cache")
+        export_prompt_cache(out, cache)
+        opens = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if file == out:
+                opens.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        adapter_finetune(cfg, corpus, out, adapter_path)
+        assert len(opens) == 1
+        opens.clear()
+        evaluate(out, corpus, ["iaa", "zsl-iaa"], adapter_path=adapter_path,
+                 prompt_cache=cache)
+        assert len(opens) == 1
+        opens.clear()
+        zsl_score_lines(out, corpus, prompt_cache=cache)
+        assert len(opens) == 1
+
+    def test_caption_task_equals_per_image_and_uncached_decoding(self, trained, corpus):
+        out, params, _, vocab = trained
+        _, results = evaluate(out, corpus, ["caption"])
+        images = [center_crop(read_image(record_image_path(r, corpus)), TINY.image_size)
+                  for r in load_manifest(corpus)]
+        fresh = [generate_caption(img, params, TINY, vocab) for img in images]
+        uncached = [uncached_greedy_caption(img, params, TINY, vocab, 16) for img in images]
+        assert results["caption"]["captions"] == fresh == uncached
 
     def test_zsl_score_lines_rejects_unknown_mode_before_loading(self, tmp_path, corpus):
         missing = str(tmp_path / "missing.ckpt")
