@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections.abc import Callable
 
 import numpy as np
 
@@ -82,12 +83,13 @@ def load(path: str) -> dict[str, np.ndarray]:
         return _parse(fh.read(), path)
 
 
-def read(path: str) -> tuple[dict[str, np.ndarray], bytes]:
-    """`load`, plus the SHA-256 of the bytes parsed; hashing costs more than
-    reading, so `load` skips it."""
+def read(path: str) -> tuple[dict[str, np.ndarray], Callable[[], bytes]]:
+    """`load`, plus a function giving the SHA-256 of the bytes parsed. Hashing
+    costs about as much as reading, so only a caller that binds an artifact to
+    the file calls it; the function holds the bytes until it is dropped."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    return _parse(blob, path), hashlib.sha256(blob).digest()
+    return _parse(blob, path), lambda: hashlib.sha256(blob).digest()
 
 
 def _parse(blob: bytes, path: str) -> dict[str, np.ndarray]:

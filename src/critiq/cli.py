@@ -130,7 +130,7 @@ def _run(args) -> int:
 
     if args.command == "caption":
         from .train import caption_images, load_backbone, load_records
-        params, vocab, _ = load_backbone(args.checkpoint)
+        params, vocab = load_backbone(args.checkpoint)[:2]
         records = load_records(args.manifest)
         captions = caption_images(params, vocab, records, args.manifest, args.max_len)
         lines = [f"{rec.id}\t{caption}" for rec, caption in zip(records, captions)]

@@ -132,9 +132,10 @@ def bleu_n(candidate, references, n: int) -> float:
         total = sum(cand_counts.values())
         if total == 0:
             return 0.0
+        ref_counts = [_ngram_counts(r, k) for r in refs]
         clipped = 0
         for g, c in cand_counts.items():
-            best = max((_ngram_counts(r, k).get(g, 0) for r in refs), default=0)
+            best = max(rc.get(g, 0) for rc in ref_counts)
             clipped += min(c, best)
         if clipped == 0:
             return 0.0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,9 +69,11 @@ def vocab_path_for(checkpoint_path: str) -> str:
     return checkpoint_path + ".vocab"
 
 
-def load_backbone(path: str) -> tuple[ModelParams, tok.Vocabulary, bytes]:
+def load_backbone(path: str) -> tuple[ModelParams, tok.Vocabulary, Callable[[], bytes]]:
     """A pretrained checkpoint's parameters, the vocabulary saved beside it, and
-    the SHA-256 of the checkpoint bytes the parameters were parsed from."""
+    a function giving the SHA-256 of the checkpoint bytes the parameters were
+    parsed from. The function holds those bytes: a job calls it only if it
+    binds an artifact to the checkpoint, and drops it before its real work."""
     raw, digest = ckpt.read(path)
     params, _ = ModelParams.from_tensors(raw, path)
     return params, tok.Vocabulary.load(vocab_path_for(path)), digest
@@ -233,7 +236,9 @@ def adapter_finetune(cfg: TrainConfig, manifest_path: str, backbone_path: str,
         raise ValueError(f"adapter_finetune called with stage={cfg.stage!r}")
     records = load_manifest(manifest_path)
     labels = _require_mos(records, "adapter finetuning")
-    params, vocab, backbone_hash = load_backbone(backbone_path)
+    params, vocab, digest = load_backbone(backbone_path)
+    backbone_hash = digest()
+    del digest
     backbone_before = {n: t.data.tobytes() for n, t in params.items()}
 
     embeddings = embed_images(params, params.config, records, manifest_path)
@@ -346,7 +351,7 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def prompt_table(backbone_hash: bytes, params: ModelParams, vocab: tok.Vocabulary,
+def prompt_table(backbone_hash: bytes | None, params: ModelParams, vocab: tok.Vocabulary,
                  prompt_cache: str | None) -> dict[str, np.ndarray]:
     """Default-bank prompt embeddings: the cache, checked against the backbone
     checkpoint's SHA-256, when one is given; otherwise embedded fresh."""
@@ -380,7 +385,10 @@ def evaluate(backbone_path: str, manifest_path: str, tasks,
             raise ValueError(f"unknown task {t!r}; expected a subset of {TASKS}")
     zsl.check_mode(mode)
     check_max_len(caption_max_len)
-    params, vocab, backbone_hash = load_backbone(backbone_path)
+    params, vocab, digest = load_backbone(backbone_path)
+    binds = "iaa" in tasks or prompt_cache is not None
+    backbone_hash = digest() if binds else None
+    del digest
     records = load_records(manifest_path)
     results: dict = {}
     lines = ["evaluation report", f"manifest: {manifest_path}", f"n: {len(records)}"]
@@ -414,13 +422,13 @@ def evaluate(backbone_path: str, manifest_path: str, tasks,
         if not any(r.styles for r in records):
             raise ValueError("task 'zsl-style' requires style labels in the manifest")
         score_mat = zsl.style_scores(v_all, zsl.style_embeddings(bank, table), mode)
+        positives = np.zeros(score_mat.shape, dtype=np.int64)
+        for i, r in enumerate(records):
+            positives[i, r.styles or []] = 1
         per_class = {}
         for j, name in enumerate(bank.style_names):
-            positives = np.array([1 if (r.styles and j in r.styles) else 0
-                                  for r in records])
-            if positives.sum() == 0:
-                continue
-            per_class[name] = met.average_precision(score_mat[:, j], positives)
+            if positives[:, j].any():
+                per_class[name] = met.average_precision(score_mat[:, j], positives[:, j])
         results["zsl-style"] = {"map": float(np.mean(list(per_class.values()))),
                                 "per_class": per_class, "mode": mode}
         lines.append(f"task zsl-style: mode={mode} "
@@ -464,7 +472,9 @@ def zsl_score_lines(backbone_path: str, manifest_path: str, task: str = "iaa",
     if task not in ("iaa", "style"):
         raise ValueError(f"zsl task must be 'iaa' or 'style', got {task!r}")
     zsl.check_mode(mode)
-    params, vocab, backbone_hash = load_backbone(backbone_path)
+    params, vocab, digest = load_backbone(backbone_path)
+    backbone_hash = digest() if prompt_cache is not None else None
+    del digest
     records = load_records(manifest_path)
     v_all = embed_images(params, params.config, records, manifest_path)
     bank = PromptBank.default()
@@ -480,7 +490,7 @@ def zsl_score_lines(backbone_path: str, manifest_path: str, task: str = "iaa",
 
 def export_prompt_cache(backbone_path: str, out_path: str) -> int:
     """Embed the whole default bank (anchor included) and cache it."""
-    params, vocab, backbone_hash = load_backbone(backbone_path)
+    params, vocab, digest = load_backbone(backbone_path)
     table = zsl.embed_bank(PromptBank.default(), params, params.config, vocab)
-    zsl.save_prompt_cache(table, backbone_hash, out_path)
+    zsl.save_prompt_cache(table, digest(), out_path)
     return len(table)

@@ -9,11 +9,14 @@ The pair score is computed so that swapping the pair's roles yields the exact
 complement: the branch with the larger similarity evaluates 1/(1+e^-d) and
 the mirrored call reuses that value's exact complement (Sterbenz), so the two
 scores always sum to exactly 1.0.
+
+Each scorer takes one unit vector (D,) or a stack of unit rows (N, D) and
+makes one array pass per prompt over all rows. The arithmetic is local to
+each row, so a row of a batch scores bit for bit as the same vector alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,55 +52,78 @@ class StylePromptEmbeddings:
         return list(self.single)
 
 
-def _check_unit(name: str, v: np.ndarray) -> None:
-    if abs(float(np.linalg.norm(np.asarray(v, dtype=np.float64))) - 1.0) > 1e-6:
-        raise ValueError(f"{name}: expected a unit-norm vector")
+def _checked_rows(name: str, v) -> np.ndarray:
+    """`v`, one unit vector (D,) or a stack of unit rows (N, D), as float64
+    rows (N, D), every row's norm checked in one pass."""
+    u = np.asarray(v, dtype=np.float64)
+    rows = u.reshape(1, -1) if u.ndim == 1 else u
+    if rows.ndim != 2:
+        raise ValueError(f"{name}: expected a vector (D,) or rows (N, D), got {u.shape}")
+    bad = np.flatnonzero(~(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= 1e-6))
+    if bad.size:
+        if u.ndim == 1:
+            raise ValueError(f"{name}: expected a unit-norm vector")
+        raise ValueError(f"{name}: row {bad[0]} is not unit-norm")
+    return rows
 
 
-def zsl_iaa_single(v: np.ndarray, pair: PromptPairEmbedding | tuple) -> float:
-    """Softmax-normalized preference for the 'good' prompt, in (0, 1).
+def _cosines(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Each row's dot with one prompt, summed within the row: a row's value is
+    the same whatever the other rows are, where a GEMM's summation order may
+    change with N."""
+    return (rows * np.asarray(p, dtype=np.float64)).sum(axis=1)
 
-    Depends on the two similarities only through their difference.
-    """
+
+def _pair_scores(rows: np.ndarray, pair: PromptPairEmbedding | tuple) -> np.ndarray:
     if isinstance(pair, PromptPairEmbedding):
         pg, pb = pair.good, pair.bad
     else:
         pg, pb = pair
-    v = np.asarray(v, dtype=np.float64)
-    _check_unit("zsl_iaa_single image embedding", v)
-    a = float(v @ np.asarray(pg, dtype=np.float64))
-    b = float(v @ np.asarray(pb, dtype=np.float64))
-    d = b - a
-    if d <= 0:
-        return 1.0 / (1.0 + math.exp(d))
-    return 1.0 - 1.0 / (1.0 + math.exp(-d))
+    d = _cosines(rows, pb) - _cosines(rows, pg)
+    return np.where(d <= 0, 1.0 / (1.0 + np.exp(d)), 1.0 - 1.0 / (1.0 + np.exp(-d)))
 
 
-def zsl_iaa_ensemble(v: np.ndarray, pairs) -> float:
-    """Arithmetic mean of the per-pair scores, clamped into their span."""
+def _clamped_mean(columns: list[np.ndarray]) -> np.ndarray:
+    """Per-row mean of the columns, clamped into the row's span."""
+    s = np.stack(columns, axis=1)
+    return np.clip(s.sum(axis=1) / s.shape[1], s.min(axis=1), s.max(axis=1))
+
+
+def zsl_iaa_single(v: np.ndarray, pair: PromptPairEmbedding | tuple) -> float | np.ndarray:
+    """Softmax-normalized preference for the 'good' prompt, in (0, 1): a float
+    for one unit vector (D,), one score per row for unit rows (N, D).
+
+    Depends on the two similarities only through their difference.
+    """
+    s = _pair_scores(_checked_rows("zsl_iaa_single image embedding", v), pair)
+    return float(s[0]) if np.ndim(v) == 1 else s
+
+
+def zsl_iaa_ensemble(v: np.ndarray, pairs) -> float | np.ndarray:
+    """Arithmetic mean of the per-pair scores, clamped into their span; a
+    float for one unit vector, one score per row for unit rows (N, D)."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("zsl_iaa_ensemble: empty pair list")
-    scores = [zsl_iaa_single(v, p) for p in pairs]
-    m = math.fsum(scores) / len(scores)
-    return min(max(m, min(scores)), max(scores))
+    rows = _checked_rows("zsl_iaa_ensemble image embedding", v)
+    s = _clamped_mean([_pair_scores(rows, p) for p in pairs])
+    return float(s[0]) if np.ndim(v) == 1 else s
 
 
 def zsl_style_scores(v: np.ndarray, styles: StylePromptEmbeddings,
-                     mode: str = "ensemble") -> dict[str, float]:
-    """Per-style cosine scores for one unit image embedding."""
-    v = np.asarray(v, dtype=np.float64)
-    _check_unit("zsl_style_scores image embedding", v)
+                     mode: str = "ensemble") -> dict[str, float] | dict[str, np.ndarray]:
+    """Per-style cosine scores: floats for one unit image embedding (D,), one
+    score per row for unit rows (N, D)."""
+    rows = _checked_rows("zsl_style_scores image embedding", v)
     check_mode(mode)
-    out: dict[str, float] = {}
+    out: dict[str, np.ndarray] = {}
     for name in styles.style_names():
         if mode == "single":
-            out[name] = float(v @ np.asarray(styles.single[name], dtype=np.float64))
+            out[name] = _cosines(rows, styles.single[name])
         else:
-            cosines = [float(v @ np.asarray(p, dtype=np.float64))
-                       for p in styles.ensemble[name]]
-            m = math.fsum(cosines) / len(cosines)
-            out[name] = min(max(m, min(cosines)), max(cosines))
+            out[name] = _clamped_mean([_cosines(rows, p) for p in styles.ensemble[name]])
+    if np.ndim(v) == 1:
+        return {name: float(s[0]) for name, s in out.items()}
     return out
 
 
@@ -114,21 +140,27 @@ def _unit_rows(v: np.ndarray, mode: str) -> np.ndarray:
 
 def iaa_scores(v: np.ndarray, pairs: list[PromptPairEmbedding], mode: str) -> list[float]:
     """Quality score per row of raw image embeddings `v` (N, D): the first
-    pair alone in 'single' mode, the ensemble over all pairs otherwise."""
+    pair alone in 'single' mode, the ensemble over all pairs otherwise. One
+    scorer call covers every row."""
     unit = _unit_rows(v, mode)
+    if not len(unit):
+        return []
     if mode == "single":
-        return [zsl_iaa_single(u, pairs[0]) for u in unit]
-    return [zsl_iaa_ensemble(u, pairs) for u in unit]
+        return zsl_iaa_single(unit, pairs[0]).tolist()
+    return zsl_iaa_ensemble(unit, pairs).tolist()
 
 
 def style_scores(v: np.ndarray, styles: StylePromptEmbeddings, mode: str) -> np.ndarray:
     """(N, styles) score matrix for raw image embeddings `v` (N, D), with
-    columns in `styles.style_names()` order."""
+    columns in `styles.style_names()` order. One scorer call covers every
+    row."""
     unit = _unit_rows(v, mode)
     names = styles.style_names()
-    rows = [zsl_style_scores(u, styles, mode) for u in unit]
-    return np.array([[per[name] for name in names] for per in rows],
-                    dtype=np.float64).reshape(len(rows), len(names))
+    per = zsl_style_scores(unit, styles, mode)
+    out = np.empty((len(unit), len(names)), dtype=np.float64)
+    for j, name in enumerate(names):
+        out[:, j] = per[name]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 
 from critiq import autodiff as ad
 from critiq import tokenizer as tok
+from critiq import zsl
 from critiq.model import (ModelConfig, ModelParams, _run_unimodal, decode_multimodal,
                           encode_image, pool_image)
 
@@ -253,3 +254,89 @@ def mean(a: ad.Tensor, axis=None) -> ad.Tensor:
                                               a.shape).copy())
 
     return ad._make(np.asarray(out_data, dtype=a.dtype), (a,), backward_fn)
+
+
+def scalar_iaa_single(v, good, bad) -> float:
+    """One image's score for one prompt pair as a scalar Python call: two BLAS
+    dots, then the sign-branch sigmoid with math.exp."""
+    v = np.asarray(v, dtype=np.float64)
+    d = float(v @ np.asarray(bad, dtype=np.float64)) - float(
+        v @ np.asarray(good, dtype=np.float64))
+    if d <= 0:
+        return 1.0 / (1.0 + math.exp(d))
+    return 1.0 - 1.0 / (1.0 + math.exp(-d))
+
+
+def _clamped_fsum_mean(xs: list[float]) -> float:
+    m = math.fsum(xs) / len(xs)
+    return min(max(m, min(xs)), max(xs))
+
+
+def scalar_iaa_ensemble(v, pairs) -> float:
+    """The pair scores' exactly rounded mean, clamped into their span."""
+    return _clamped_fsum_mean([scalar_iaa_single(v, p.good, p.bad) for p in pairs])
+
+
+def scalar_style_scores(v, styles, mode: str) -> dict[str, float]:
+    """One image's style cosines, one BLAS dot per prompt; the ensemble takes
+    each style's exactly rounded mean, clamped into its span."""
+    v = np.asarray(v, dtype=np.float64)
+    if mode == "single":
+        return {name: float(v @ np.asarray(p, dtype=np.float64))
+                for name, p in styles.single.items()}
+    return {name: _clamped_fsum_mean([float(v @ np.asarray(p, dtype=np.float64))
+                                      for p in prompts])
+            for name, prompts in styles.ensemble.items()}
+
+
+def recounting_bleu_n(candidate, references, n: int) -> float:
+    """Sentence BLEU-n that recounts every reference's n-grams once per
+    candidate n-gram: the reference for the count-once `metrics.bleu_n`."""
+    cand = candidate.split() if isinstance(candidate, str) else list(candidate)
+    refs = [r.split() if isinstance(r, str) else list(r) for r in references]
+    if not cand:
+        return 0.0
+
+    def counts(tokens, k):
+        out = {}
+        for i in range(len(tokens) - k + 1):
+            g = tuple(tokens[i:i + k])
+            out[g] = out.get(g, 0) + 1
+        return out
+
+    log_precisions = []
+    for k in range(1, n + 1):
+        cand_counts = counts(cand, k)
+        total = sum(cand_counts.values())
+        if total == 0:
+            return 0.0
+        clipped = 0
+        for g, c in cand_counts.items():
+            best = max((counts(r, k).get(g, 0) for r in refs), default=0)
+            clipped += min(c, best)
+        if clipped == 0:
+            return 0.0
+        log_precisions.append(math.log(clipped / total))
+    c_len = len(cand)
+    r_len = min((abs(len(r) - c_len), len(r)) for r in refs)[1]
+    bp = min(1.0, math.exp(1.0 - r_len / c_len))
+    return bp * math.exp(sum(log_precisions) / n)
+
+
+def assert_match_scalar_oracle(rows, pairs, styles) -> None:
+    """The batched scorers against one scalar oracle call per row, within
+    1e-12: the batch sums each row's products in numpy's order, where the
+    oracle uses BLAS dots and an exactly rounded mean."""
+    good, bad = pairs[0].good, pairs[0].bad
+    np.testing.assert_allclose(zsl.zsl_iaa_single(rows, pairs[0]),
+                               [scalar_iaa_single(u, good, bad) for u in rows],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(zsl.zsl_iaa_ensemble(rows, pairs),
+                               [scalar_iaa_ensemble(u, pairs) for u in rows],
+                               rtol=0, atol=1e-12)
+    for mode in ("single", "ensemble"):
+        per = zsl.zsl_style_scores(rows, styles, mode)
+        want = [scalar_style_scores(u, styles, mode) for u in rows]
+        for name in styles.style_names():
+            np.testing.assert_allclose(per[name], [w[name] for w in want], rtol=0,
+                                       atol=1e-12)

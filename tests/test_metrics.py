@@ -10,7 +10,7 @@ from scipy import stats
 from critiq.metrics import (average_precision, bleu_n, cider, cider_scores,
                             mean_average_precision, plcc, rouge_l, srcc)
 from oracles import (brute_force_ap, brute_force_bleu, brute_force_cider,
-                     brute_force_lcs)
+                     brute_force_lcs, recounting_bleu_n)
 
 
 class TestSrcc:
@@ -152,6 +152,20 @@ class TestBleu:
                     for _ in range(int(rng.integers(1, 4)))]
             n = int(rng.integers(1, 5))
             assert abs(bleu_n(cand, refs, n) - brute_force_bleu(cand, refs, n)) < 1e-12
+
+    def test_bitwise_equal_to_recounting_oracle(self):
+        # counting each reference once per order changes no float: same
+        # clipped counts, same arithmetic
+        rng = np.random.default_rng(9)
+        words = ["a", "b", "c", "d"]
+        for _ in range(300):
+            cand = list(rng.choice(words, size=rng.integers(1, 17)))
+            refs = [list(rng.choice(words, size=rng.integers(1, 17)))
+                    for _ in range(int(rng.integers(1, 6)))]
+            for n in (1, 2, 3, 4):
+                got = bleu_n(cand, refs, n)
+                assert got.hex() == recounting_bleu_n(cand, refs, n).hex()
+                assert bleu_n(" ".join(cand), [" ".join(r) for r in refs], n) == got
 
     def test_all_scores_in_unit_interval(self):
         rng = np.random.default_rng(8)

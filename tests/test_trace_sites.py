@@ -3,7 +3,9 @@
 `perfbench.spans.SITES` names each site as a module (or class) attribute, and
 the benchmark's caption and zero-shot timings come from calls made through
 those names. This installs the tracer over every site, runs a tiny evaluate
-for `caption` and `zsl-iaa`, and checks that the spans show up."""
+for `caption`, `zsl-iaa` and `zsl-style`, and checks that the spans show up.
+Zero-shot scoring makes one scorer call per task over all images, so the
+benchmark's zero-shot span list is never empty."""
 
 import pytest
 
@@ -37,7 +39,8 @@ def test_every_site_traced_through_evaluate(backbone):
     tracer = Tracer()
     tracer.install(SITES)
     try:
-        train.evaluate(out, manifest, ["caption", "zsl-iaa"], caption_max_len=3)
+        train.evaluate(out, manifest, ["caption", "zsl-iaa", "zsl-style"],
+                       caption_max_len=3)
     finally:
         assert tracer.uninstall()
     names = [s.name for s in tracer.spans]
@@ -48,7 +51,9 @@ def test_every_site_traced_through_evaluate(backbone):
     assert all(parents[i] == "train.evaluate" for i in captions)
     assert names.count("train.embed_images") == 1
     assert names.count("zsl.embed_bank") == 1
-    assert names.count("zsl.zsl_iaa_ensemble") == n
+    assert names.count("zsl.zsl_iaa_ensemble") == 1
+    assert names.count("zsl.zsl_style_scores") == 1
+    assert names.count("zsl.zsl_iaa_single") == 0
     assert names.count("imageio.read_image") == 2 * n
     # the key/value cache feeds one position per decode step, [BOS] included
     decodes = [s for i, s in enumerate(tracer.spans) if s.name == "model.decode_multimodal"

@@ -2,6 +2,7 @@
 schedules, and the evaluation drivers."""
 
 import builtins
+import hashlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from critiq import metrics as met
 from critiq import objectives as obj
 from critiq import tokenizer as tok
 from critiq import zsl
+from critiq.cli import cli_dispatch
 from critiq.config import TrainConfig
 from critiq.data import Batch, load_manifest, record_image_path, save_manifest
 from critiq.imageio import read_image
@@ -24,7 +26,7 @@ from critiq.synth import SynthSpec, generate_synthetic_corpus
 from critiq.train import (RunLog as RunLogBytes, adapter_finetune, center_crop,
                           embed_images, evaluate, export_prompt_cache, load_adapter,
                           pretrain, pretrain_step_loss, vocab_path_for, zsl_score_lines)
-from oracles import sha256_file, uncached_greedy_caption
+from oracles import assert_match_scalar_oracle, sha256_file, uncached_greedy_caption
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
                    encoder_layers=1, unimodal_layers=1, multimodal_layers=1,
@@ -348,6 +350,34 @@ class TestEvaluate:
         zsl_score_lines(out, corpus, prompt_cache=cache)
         assert len(opens) == 1
 
+    def test_checkpoint_hashed_only_for_bound_artifacts(self, trained, corpus, tmp_path,
+                                                         monkeypatch):
+        # the digest binds an adapter or a prompt cache to the checkpoint; a job
+        # that loads neither never hashes it
+        out, _, _, _ = trained
+        adapter_path = str(tmp_path / "a.ckpt")
+        adapter_finetune(TrainConfig(stage="adapt", steps=2, batch_size=5,
+                                     learning_rate=5e-3, seed=1, model=TINY),
+                         corpus, out, adapter_path)
+        with open(out, "rb") as fh:
+            blob = fh.read()
+        hashed = []
+        real_sha256 = hashlib.sha256
+
+        def counting_sha256(data=b"", **kwargs):
+            if data == blob:
+                hashed.append(1)
+            return real_sha256(data, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+        evaluate(out, corpus, ["caption"], caption_max_len=3)
+        evaluate(out, corpus, ["zsl-iaa", "zsl-style"])
+        assert cli_dispatch(["caption", "--checkpoint", out, "--manifest", corpus,
+                             "--out", str(tmp_path / "c.txt"), "--max-len", "3"]) == 0
+        assert hashed == []
+        evaluate(out, corpus, ["iaa"], adapter_path=adapter_path)
+        assert len(hashed) == 1
+
     def test_caption_task_equals_per_image_and_uncached_decoding(self, trained, corpus):
         out, params, _, vocab = trained
         _, results = evaluate(out, corpus, ["caption"])
@@ -383,6 +413,12 @@ class TestEvaluate:
         v = embed_images(params, TINY, records, corpus)
         table = zsl.embed_bank(PromptBank.default(), params, TINY, vocab)
         return records, v / np.linalg.norm(v, axis=1, keepdims=True), table
+
+    def test_batched_scores_match_scalar_oracle(self, trained, corpus):
+        _, unit, table = self._unit_embeddings(trained, corpus)
+        bank = PromptBank.default()
+        assert_match_scalar_oracle(unit, zsl.pair_embeddings(bank, table),
+                                   zsl.style_embeddings(bank, table))
 
     def test_single_mode_zsl_iaa_uses_first_pair(self, trained, corpus):
         out = trained[0]

@@ -14,12 +14,13 @@ from critiq.model import ModelConfig, ModelParams
 from critiq.prompts import PromptBank
 from critiq.zsl import (PromptPairEmbedding, StylePromptEmbeddings, zsl_iaa_ensemble,
                         zsl_iaa_single, zsl_style_scores)
-from oracles import encode_text_unimodal
+from oracles import assert_match_scalar_oracle, encode_text_unimodal
 
 
 def unit(v):
-    v = np.asarray(v, dtype=np.float64)
-    return v / np.linalg.norm(v)
+    """`v` scaled to unit norm, row by row for a stack of rows."""
+    v = np.asarray(v)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def pair_with_dots(a: float, b: float) -> tuple[np.ndarray, PromptPairEmbedding]:
@@ -151,7 +152,7 @@ class TestStyleScores:
 
 class TestBatchScorers:
     """`iaa_scores` and `style_scores` normalize raw (N, D) embeddings and
-    apply the per-image scorers row by row."""
+    score every row in one scorer call, each row equal to its per-image call."""
 
     def _raw(self, seed, dim=3):
         return np.random.default_rng(seed).normal(size=(6, dim)) * 3.0
@@ -191,6 +192,98 @@ class TestBatchScorers:
     def test_unknown_mode_rejected_before_scoring(self, scorer):
         with pytest.raises(ValueError, match="unknown zero-shot mode 'softmax'"):
             scorer(np.ones((2, 3)), None, "softmax")
+
+
+def random_prompts(rng, dim: int) -> tuple[list[PromptPairEmbedding], StylePromptEmbeddings]:
+    """Six random unit prompt pairs, and 14 styles whose ensembles hold one to
+    five prompts."""
+    pairs = [PromptPairEmbedding(unit(rng.normal(size=dim)), unit(rng.normal(size=dim)),
+                                 "g", "b") for _ in range(6)]
+    styles = StylePromptEmbeddings(
+        single={f"s{i}": unit(rng.normal(size=dim)) for i in range(14)},
+        ensemble={f"s{i}": [unit(rng.normal(size=dim)) for _ in range(1 + i % 5)]
+                  for i in range(14)})
+    return pairs, styles
+
+
+class TestBatchedRows:
+    """The scorers on a stack of unit rows (N, D): one array pass per prompt."""
+
+    @pytest.mark.parametrize("dim", [3, 16, 64])
+    def test_match_scalar_oracle(self, dim):
+        rng = np.random.default_rng(dim)
+        pairs, styles = random_prompts(rng, dim)
+        assert_match_scalar_oracle(unit(rng.normal(size=(40, dim))), pairs, styles)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 300])
+    def test_every_row_bytewise_equals_its_single_call(self, n):
+        rng = np.random.default_rng(n)
+        pairs, styles = random_prompts(rng, 64)
+        rows = unit(rng.normal(size=(n, 64)).astype(np.float32))
+        single = zsl_iaa_single(rows, pairs[0])
+        ensemble = zsl_iaa_ensemble(rows, pairs)
+        assert single.shape == ensemble.shape == (n,)
+        assert single.tobytes() == np.array([zsl_iaa_single(u, pairs[0])
+                                             for u in rows]).tobytes()
+        assert ensemble.tobytes() == np.array([zsl_iaa_ensemble(u, pairs)
+                                               for u in rows]).tobytes()
+        for mode in ("single", "ensemble"):
+            per = zsl_style_scores(rows, styles, mode)
+            each = [zsl_style_scores(u, styles, mode) for u in rows]
+            assert all(isinstance(x, float) for d in each for x in d.values())
+            for name in styles.style_names():
+                assert per[name].tobytes() == np.array([d[name] for d in each]).tobytes()
+
+    def test_swap_complement_exact_on_every_row(self):
+        rng = np.random.default_rng(11)
+        for dim in (8, 64):
+            rows = unit(rng.normal(size=(512, dim)))
+            pg, pb = unit(rng.normal(size=dim)), unit(rng.normal(size=dim))
+            fwd = zsl_iaa_single(rows, PromptPairEmbedding(pg, pb, "g", "b"))
+            rev = zsl_iaa_single(rows, PromptPairEmbedding(pb, pg, "b", "g"))
+            assert ((fwd + rev) == 1.0).all()
+        # a row whose similarities tie scores exactly one half both ways
+        v, pair = pair_with_dots(0.25, 0.25)
+        assert (zsl_iaa_single(np.stack([v, v]), pair) == 0.5).all()
+
+    @pytest.mark.parametrize("scorer", [
+        lambda rows: zsl_iaa_single(rows, (np.eye(3)[0], np.eye(3)[1])),
+        lambda rows: zsl_iaa_ensemble(rows, [(np.eye(3)[0], np.eye(3)[1])]),
+        lambda rows: zsl_style_scores(rows, StylePromptEmbeddings(
+            single={"a": np.eye(3)[0]}, ensemble={"a": [np.eye(3)[0]]}))])
+    def test_non_unit_row_named(self, scorer):
+        rows = unit(np.random.default_rng(0).normal(size=(5, 3)))
+        rows[3] *= 1.5
+        rows[4] = np.nan
+        with pytest.raises(ValueError, match=r"row 3 is not unit-norm"):
+            scorer(rows)
+        rows[3] /= 1.5
+        with pytest.raises(ValueError, match=r"row 4 is not unit-norm"):
+            scorer(rows)
+        with pytest.raises(ValueError, match=r"expected a vector \(D,\) or rows"):
+            scorer(rows[None, :3])
+
+    def test_ensemble_of_identical_prompts_equals_single_on_every_row(self):
+        # a row's sum of k equal scores, divided by k, can round off that
+        # score; the clamp into the row's span restores it
+        rng = np.random.default_rng(5)
+        rows = unit(rng.normal(size=(200, 8)))
+        p, q = unit(rng.normal(size=8)), unit(rng.normal(size=8))
+        styles = StylePromptEmbeddings(single={"a": p}, ensemble={"a": [p] * 3})
+        assert (zsl_style_scores(rows, styles)["a"]
+                == zsl_style_scores(rows, styles, "single")["a"]).all()
+        pair = PromptPairEmbedding(p, q, "g", "b")
+        assert (zsl_iaa_ensemble(rows, [pair] * 6) == zsl_iaa_single(rows, pair)).all()
+
+    def test_zero_rows(self):
+        rng = np.random.default_rng(1)
+        pairs, styles = random_prompts(rng, 4)
+        empty = np.zeros((0, 4))
+        assert zsl_iaa_single(empty, pairs[0]).shape == (0,)
+        assert zsl_iaa_ensemble(empty, pairs).shape == (0,)
+        assert all(s.shape == (0,) for s in zsl_style_scores(empty, styles).values())
+        assert zsl.style_scores(empty, styles, "ensemble").shape == (0, 14)
+        assert zsl.iaa_scores(empty, pairs, "single") == []
 
 
 PIPELINE_CFG = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
