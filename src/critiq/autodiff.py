@@ -2,9 +2,10 @@
 
 The op set covers exactly what the model and losses need: matmul, fused
 linear (matmul plus bias), add/sub, elementwise exp/log/mul, gelu, relu,
-softmax, fused multi-head attention (optionally masked), layer normalization,
-embedding lookup, L2 normalization, cross-entropy with logits, reductions,
-and a handful of indexing/reshaping helpers. A central finite-difference
+fused multi-head attention (optionally masked, queries optionally shared
+across the batch), layer normalization, embedding lookup, L2 normalization,
+cross-entropy with logits, a sum reduction, and a handful of
+indexing/reshaping helpers. A central finite-difference
 verifier (`finite_diff_check`) closes the loop on every gradient.
 
 Conventions:
@@ -349,35 +350,26 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 # normalization / attention ops
 # ---------------------------------------------------------------------------
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    p = e / e.sum(axis=axis, keepdims=True)
-
-    def backward_fn(g):
-        dot = (g * p).sum(axis=axis, keepdims=True)
-        _accumulate(a, p * (g - dot))
-
-    return _make(p, (a,), backward_fn)
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
               mask: np.ndarray | None = None) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(D / n_heads)) v as one node.
 
-    q is (N, L, D), k and v (N, M, D). `mask` is None or an (L, M) bool array;
-    masked keys get exactly zero weight, and a query row with no unmasked key
-    is rejected. The backward pass needs only q, k, v and the weights.
+    q is (N, L, D), or (L, D) shared by every batch row (its gradient is summed
+    over the batch); k and v are (N, M, D). `mask` is None or an (L, M) bool
+    array; masked keys get exactly zero weight, and a query row with no
+    unmasked key is rejected. The backward pass needs only q, k, v and the
+    weights.
     """
-    if q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape \
-            or k.shape[::2] != q.shape[::2] or q.shape[2] % n_heads:
+    if q.data.ndim not in (2, 3) or k.data.ndim != 3 or k.shape != v.shape \
+            or q.shape[:-2] not in ((), k.shape[:1]) or q.shape[-1] != k.shape[2] \
+            or q.shape[-1] % n_heads:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, {n_heads} heads")
-    (n, l, d), m = q.shape, k.shape[1]
+    (n, m, d), l = k.shape, q.shape[-2]
     dh = d // n_heads
     scale_factor = 1.0 / math.sqrt(dh)
 
-    def heads(x: np.ndarray) -> np.ndarray:  # (N, rows, D) -> (N, heads, rows, D / heads)
-        return x.reshape(n, -1, n_heads, dh).transpose(0, 2, 1, 3)
+    def heads(x: np.ndarray) -> np.ndarray:  # (..., rows, D) -> (..., heads, rows, D / heads)
+        return np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, dh)), -2, -3)
 
     def merge(x: np.ndarray) -> np.ndarray:
         return x.transpose(0, 2, 1, 3).reshape(n, -1, d)
@@ -399,7 +391,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         dp = np.matmul(gh, vh.swapaxes(-1, -2))
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
         ds *= scale_factor
-        _accumulate(q, merge(np.matmul(ds, kh)))
+        _accumulate(q, _reduce_to_shape(merge(np.matmul(ds, kh)), q.shape))
         _accumulate(k, merge(np.matmul(ds.swapaxes(-1, -2), qh)))
         _accumulate(v, merge(np.matmul(p.swapaxes(-1, -2), gh)))
 

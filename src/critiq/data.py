@@ -139,14 +139,6 @@ class Batch:
         return len(self.ids)
 
 
-def _pad_gen(seqs: list[list[int]]) -> np.ndarray:
-    lmax = max(len(s) for s in seqs)
-    out = np.full((len(seqs), lmax), tok.PAD, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        out[i, : len(s)] = s
-    return out
-
-
 def make_batches(records: list[ManifestRecord], batch_size: int,
                  vocab: tok.Vocabulary, aug_cfg: AugmentationConfig,
                  seed: int, epoch: int, manifest_path: str,
@@ -175,7 +167,7 @@ def make_batches(records: list[ManifestRecord], batch_size: int,
             ids.append(rec.id)
         yield Batch(ids=ids,
                     images=np.stack(images).astype(np.float32, copy=False),
-                    gen_tokens=_pad_gen(gen_seqs),
+                    gen_tokens=tok.pad_ids(gen_seqs),
                     con_tokens=con_seqs)
 
 

@@ -89,14 +89,6 @@ def average_precision(scores, positives) -> float:
     return total / n_pos
 
 
-def mean_average_precision(per_class) -> float:
-    """Mean of per-class APs over an iterable of (scores, binary labels)."""
-    aps = [average_precision(s, y) for s, y in per_class]
-    if not aps:
-        raise ValueError("mean_average_precision: no classes given")
-    return float(np.mean(aps))
-
-
 # ---------------------------------------------------------------------------
 # caption metrics
 # ---------------------------------------------------------------------------

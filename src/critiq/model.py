@@ -332,23 +332,14 @@ def encode_image(images, params: ModelParams, cfg: ModelConfig) -> Tensor:
 
 def attentional_pool(v: Tensor, queries: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     """Learned-query attention pooling: each query row is a softmax-weighted
-    combination of value-projected rows of `v`.
+    combination of value-projected rows of `v`, by one-head attention.
 
     v: (K, D) or (N, K, D); queries: (n_q, D). Output matches v's batching.
     """
     single = v.data.ndim == 2
     if single:
         v = ad.reshape(v, (1,) + v.shape)
-    if v.data.ndim != 3:
-        raise ad.ShapeError(f"attentional_pool: expected 2-d or 3-d input, got {v.shape}")
-    d = queries.shape[-1]
-    if v.shape[-1] != d:
-        raise ad.ShapeError(f"attentional_pool: dim mismatch {v.shape} vs queries {queries.shape}")
-    keys = ad.matmul(v, wk)
-    vals = ad.matmul(v, wv)
-    scores = ad.scale(ad.matmul(queries, ad.swapaxes(keys, -1, -2)), 1.0 / math.sqrt(d))
-    weights = ad.softmax(scores, axis=-1)
-    pooled = ad.matmul(weights, vals)
+    pooled = ad.attention(queries, ad.matmul(v, wk), ad.matmul(v, wv), 1)
     return ad.index(pooled, 0) if single else pooled
 
 
@@ -357,42 +348,23 @@ def pool_image(v: Tensor, params: ModelParams, which: str) -> Tensor:
                             params[f"pool/{which}/wk"], params[f"pool/{which}/wv"])
 
 
-def _pad_sequences(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    lmax = int(lengths.max())
-    ids = np.full((len(seqs), lmax), tok.PAD, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        ids[i, : len(s)] = s
-    return ids, lengths
-
-
-def _embed_tokens(ids: np.ndarray, params: ModelParams, start: int) -> Tensor:
-    x = ad.embedding(params["tok_emb"], ids)
-    pos = ad.index(params["pos/text"], slice(start, start + ids.shape[-1]))
-    return ad.add(x, pos)
-
-
-def _run_unimodal(ids: np.ndarray, params: ModelParams, cfg: ModelConfig,
-                  start: int = 0, cache: dict | None = None) -> Tensor:
-    """Unimodal stack over text positions start, start+1, ...; the keys and
-    values of positions before `start` come from `cache`."""
+def _run_unimodal(ids: np.ndarray, params: ModelParams, cfg: ModelConfig) -> Tensor:
+    """Causal unimodal stack over text positions 0, 1, ... of `ids`."""
     l = ids.shape[-1]
-    if start + l > cfg.max_text_length:
-        raise ad.ShapeError(f"text length {start + l} exceeds maximum "
-                            f"{cfg.max_text_length}")
-    x = _embed_tokens(ids, params, start)
-    mask = _causal_mask(l, start)
+    if l > cfg.max_text_length:
+        raise ad.ShapeError(f"text length {l} exceeds maximum {cfg.max_text_length}")
+    x = ad.add(ad.embedding(params["tok_emb"], ids), ad.index(params["pos/text"], slice(0, l)))
+    mask = _causal_mask(l, 0)
     for i in range(cfg.unimodal_layers):
-        x = _block(x, params, f"uni/{i}", cfg.n_heads, mask=mask, cache=cache)
+        x = _block(x, params, f"uni/{i}", cfg.n_heads, mask=mask)
     return ad.layer_norm(x, params["uni/ln_f/g"], params["uni/ln_f/b"])
 
 
 def encode_text_batch(seqs: list[list[int]], params: ModelParams,
                       cfg: ModelConfig) -> Tensor:
     """Batched contrastive text encoding -> CLS outputs (N, D)."""
-    ids, lengths = _pad_sequences(seqs)
-    w = _run_unimodal(ids, params, cfg)
-    return ad.gather_rows(w, lengths - 1)
+    w = _run_unimodal(tok.pad_ids(seqs), params, cfg)
+    return ad.gather_rows(w, np.array([len(s) for s in seqs]) - 1)
 
 
 def image_embedding_batch(images, params: ModelParams, cfg: ModelConfig) -> Tensor:
@@ -403,69 +375,33 @@ def image_embedding_batch(images, params: ModelParams, cfg: ModelConfig) -> Tens
 
 
 class PrefixCache:
-    """Unimodal text-decoder states by token prefix, bound to one `ModelParams`.
+    """Unimodal text-decoder outputs by token prefix, bound to one `ModelParams`.
 
-    The unimodal stack never sees the image, so its output for a token prefix
-    is the same for every image: one cache shared by the captions of a run
-    computes it once per distinct prefix. The prefixes form a trie. Each node
-    holds only its own position's final-LN output row and each layer's key and
-    value rows; a new position's context is assembled from the rows along its
-    path. The params must not change while the cache is in use."""
+    The unimodal stack never sees the image, so its final-LN output at a
+    prefix's last position is the same for every image: one cache shared by
+    the captions of a run keeps that (D,) row per distinct prefix, and a miss
+    runs the stack once over the whole prefix. The params must not change
+    while the cache is in use."""
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self.root = _Prefix(None, 0, None, None)
+        self.rows: dict[tuple[int, ...], np.ndarray] = {}
 
-    def extend(self, node: "_Prefix", tokens: list[int], params: ModelParams,
-               cfg: ModelConfig) -> tuple["_Prefix", Tensor]:
-        """Feed `tokens` after `node`'s prefix: the node of the extended prefix
-        and the unimodal output of the fed positions, (1, len(tokens), D).
-        Stored rows serve the prefixes seen before; one stack run serves the
-        rest, whose new nodes are added."""
+    def outputs(self, seq: list[int], start: int, params: ModelParams,
+                cfg: ModelConfig) -> Tensor:
+        """The unimodal output at positions start, start+1, ... of `seq`,
+        (1, len(seq) - start, D), one stored row per position's prefix."""
         if params is not self.params:
             raise ValueError("prefix cache was built for other ModelParams")
-        rows = []
-        for t in tokens:
-            child = node.children.get(t)
-            if child is None:
-                break
-            node = child
-            rows.append(node.out)
-        rest = tokens[len(rows):]
-        if rest:
-            start = node.length
-            path = []
-            at = node
-            while at.parent is not None:
-                path.append(at.kv)
-                at = at.parent
-            kv = {}
-            if path:
-                held = np.stack(path[::-1])[None]           # (1, start, layers, 2, D)
-                kv = {f"uni/{i}/attn": (Tensor(held[:, :, i, 0]), Tensor(held[:, :, i, 1]))
-                      for i in range(cfg.unimodal_layers)}
-            x = _run_unimodal(np.asarray([rest], dtype=np.int64), params, cfg, start, kv)
-            layers = [kv[f"uni/{i}/attn"] for i in range(cfg.unimodal_layers)]
-            new_kv = np.stack([np.stack((k.data[0, start:], v.data[0, start:]), axis=1)
-                               for k, v in layers], axis=1)  # (len(rest), layers, 2, D)
-            for p, t in enumerate(rest):
-                child = _Prefix(node, start + p + 1, x.data[0, p], new_kv[p])
-                node.children[t] = child
-                node = child
-                rows.append(node.out)
-        return node, Tensor(np.stack(rows)[None])
-
-
-class _Prefix:
-    """One trie node: a token prefix's last position."""
-    __slots__ = ("parent", "length", "out", "kv", "children")
-
-    def __init__(self, parent, length: int, out, kv):
-        self.parent = parent
-        self.length = length
-        self.out = out              # (D,) final-LN unimodal output
-        self.kv = kv                # (layers, 2, D) self-attention key and value rows
-        self.children: dict[int, _Prefix] = {}
+        out = []
+        for end in range(start + 1, len(seq) + 1):
+            prefix = tuple(seq[:end])
+            row = self.rows.get(prefix)
+            if row is None:
+                x = _run_unimodal(np.asarray([prefix], dtype=np.int64), params, cfg)
+                row = self.rows[prefix] = x.data[0, -1].copy()
+            out.append(row)
+        return Tensor(np.stack(out)[None])
 
 
 def decode_multimodal(tokens, pooled_v: Tensor, params: ModelParams,
@@ -479,9 +415,9 @@ def decode_multimodal(tokens, pooled_v: Tensor, params: ModelParams,
     first call but for an optional `PrefixCache` under "prefixes" (a fresh one
     is made otherwise). With one, each call feeds only the tokens that follow
     those already fed: the unimodal outputs come from the prefix cache, and the
-    multimodal keys and values of earlier positions are reused instead of
-    recomputed. Cached arrays are cut from the graph, so a cache needs
-    `ad.no_grad()`.
+    multimodal keys and values of earlier positions (the only key/value cache)
+    are reused instead of recomputed. Cached arrays are cut from the graph, so
+    a cache needs `ad.no_grad()`.
     """
     if cache is not None and ad.grad_enabled():
         raise RuntimeError("decode_multimodal: a cache needs ad.no_grad(); cached keys "
@@ -504,9 +440,11 @@ def decode_multimodal(tokens, pooled_v: Tensor, params: ModelParams,
                                 f"got a batch of {ids.shape[0]}")
         if "prefixes" not in cache:
             cache["prefixes"] = PrefixCache(params)
-        node = cache.get("node", cache["prefixes"].root)
-        start = node.length
-        cache["node"], x = cache["prefixes"].extend(node, ids[0].tolist(), params, cfg)
+        fed = cache.get("tokens", [])
+        start = len(fed)
+        seq = fed + ids[0].tolist()
+        x = cache["prefixes"].outputs(seq, start, params, cfg)
+        cache["tokens"] = seq
     mask = _causal_mask(ids.shape[-1], start)
     for i in range(cfg.multimodal_layers):
         x = _block(x, params, f"mm/{i}", cfg.n_heads, mask=mask, memory=pooled_v,
@@ -538,7 +476,7 @@ def generate_caption(image, params: ModelParams, cfg: ModelConfig,
         v = encode_image(image, params, cfg)
         pooled = pool_image(v, params, "gen")
         seq = [tok.BOS]
-        cache = {"prefixes": PrefixCache(params) if prefixes is None else prefixes}
+        cache = {} if prefixes is None else {"prefixes": prefixes}
         for _ in range(max_len):
             if len(seq) >= cfg.max_text_length:
                 break

@@ -14,6 +14,8 @@ import numpy as np
 
 from .autodiff import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW moment decays and denominator floor
+
 
 def linear_decay_lr(base_lr: float, step: int, total_steps: int) -> float:
     """lr at step s is base * (1 - s / total); hits zero at the final step."""
@@ -37,13 +39,9 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
 
 class AdamW:
     def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  no_decay: tuple[str, ...] = ("log_tau",)):
         self.params = params
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.no_decay = no_decay
         self.step_count = 0
         self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
@@ -51,8 +49,8 @@ class AdamW:
 
     def step(self, lr: float) -> None:
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - BETA1 ** self.step_count
+        bc2 = 1.0 - BETA2 ** self.step_count
         for name, t in self.params.items():
             if t.grad is None:
                 continue
@@ -60,12 +58,12 @@ class AdamW:
             dt = t.data.dtype.type
             # in place, but in the operation order of m = b1 * m + (1 - b1) * g: bit-identical
             m, v = self.m[name], self.v[name]
-            m *= dt(self.beta1)
-            m += dt(1 - self.beta1) * g
-            v *= dt(self.beta2)
-            v += dt(1 - self.beta2) * (g * g)
+            m *= dt(BETA1)
+            m += dt(1 - BETA1) * g
+            v *= dt(BETA2)
+            v += dt(1 - BETA2) * (g * g)
             denom = np.sqrt(v / dt(bc2))
-            denom += dt(self.eps)
+            denom += dt(EPS)
             update = m / dt(bc1)
             update /= denom
             if self.weight_decay > 0 and name not in self.no_decay:

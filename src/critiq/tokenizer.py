@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 PAD, BOS, EOS, UNK, CLS = 0, 1, 2, 3, 4
 RESERVED = ("<pad>", "<bos>", "<eos>", "<unk>", "<cls>")
 UNK_TEXT = "<unk>"
@@ -83,6 +85,14 @@ def encode(text: str, vocab: Vocabulary, mode: str, max_text_length: int = 64) -
             seq = ids[: max_text_length - 1] + [CLS]
         return seq
     raise ValueError(f"encode: unknown mode {mode!r}")
+
+
+def pad_ids(seqs: list[list[int]]) -> np.ndarray:
+    """Sequences left-aligned in one PAD-filled (N, longest) int64 id matrix."""
+    out = np.full((len(seqs), max(map(len, seqs))), PAD, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        out[i, : len(s)] = s
+    return out
 
 
 def decode(ids, vocab: Vocabulary) -> str:

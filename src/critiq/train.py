@@ -234,7 +234,7 @@ def adapter_finetune(cfg: TrainConfig, manifest_path: str, backbone_path: str,
                      out_path: str) -> tuple[obj.AdapterState, RunLog, dict]:
     if cfg.stage != "adapt":
         raise ValueError(f"adapter_finetune called with stage={cfg.stage!r}")
-    records = load_manifest(manifest_path)
+    records = load_records(manifest_path)
     labels = _require_mos(records, "adapter finetuning")
     params, vocab, digest = load_backbone(backbone_path)
     backbone_hash = digest()

@@ -256,6 +256,33 @@ def mean(a: ad.Tensor, axis=None) -> ad.Tensor:
     return ad._make(np.asarray(out_data, dtype=a.dtype), (a,), backward_fn)
 
 
+def softmax(a: ad.Tensor, axis: int = -1) -> ad.Tensor:
+    """A softmax op on the autodiff engine's private `_make` and `_accumulate`;
+    model code reaches softmax only inside `ad.attention`, and this is the
+    unfused chains' reference and keeps its gradient rule covered."""
+    m = a.data.max(axis=axis, keepdims=True)
+    e = np.exp(a.data - m)
+    p = e / e.sum(axis=axis, keepdims=True)
+
+    def backward_fn(g):
+        dot = (g * p).sum(axis=axis, keepdims=True)
+        ad._accumulate(a, p * (g - dot))
+
+    return ad._make(p, (a,), backward_fn)
+
+
+def unfused_pool(v: ad.Tensor, queries: ad.Tensor, wk: ad.Tensor,
+                 wv: ad.Tensor) -> ad.Tensor:
+    """Attentional pooling of (N, K, D) tokens as the seven-node chain that
+    `ad.attention` with shared queries replaced: key and value matmuls,
+    swapaxes, score matmul, scale, softmax, output matmul."""
+    keys = ad.matmul(v, wk)
+    vals = ad.matmul(v, wv)
+    scores = ad.scale(ad.matmul(queries, ad.swapaxes(keys, -1, -2)),
+                      1.0 / math.sqrt(queries.shape[-1]))
+    return ad.matmul(softmax(scores, axis=-1), vals)
+
+
 def scalar_iaa_single(v, good, bad) -> float:
     """One image's score for one prompt pair as a scalar Python call: two BLAS
     dots, then the sign-branch sigmoid with math.exp."""

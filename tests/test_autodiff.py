@@ -8,7 +8,7 @@ import pytest
 
 from critiq import autodiff as ad
 from critiq.autodiff import DegenerateInputError, ShapeError, Tensor, backward
-from oracles import mean
+from oracles import mean, softmax
 
 
 def t64(data, requires_grad=True):
@@ -23,13 +23,13 @@ class TestForwardOracles:
         np.testing.assert_array_equal(out.data, a)
 
     def test_softmax_symmetry(self):
-        out = ad.softmax(Tensor(np.zeros(3)))
+        out = softmax(Tensor(np.zeros(3)))
         np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-9)
 
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(5, 7), scale=4))
-        p = ad.softmax(x, axis=-1).data
+        p = softmax(x, axis=-1).data
         assert (p >= 0).all()
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -68,6 +68,12 @@ class TestForwardOracles:
         with pytest.raises(DegenerateInputError, match="attention"):
             ad.attention(x, x, x, n_heads=2, mask=mask)
 
+    @pytest.mark.parametrize("q_shape", [(3, 2, 4), (2, 6), (2, 4, 4, 4)])
+    def test_attention_rejects_queries_that_do_not_conform(self, q_shape):
+        k = Tensor(np.zeros((2, 5, 4)))
+        with pytest.raises(ShapeError, match="attention"):
+            ad.attention(Tensor(np.zeros(q_shape)), k, k, n_heads=2)
+
     def test_embedding_rejects_out_of_range(self):
         with pytest.raises(ShapeError, match="embedding"):
             ad.embedding(Tensor(np.zeros((4, 2))), np.array([4]))
@@ -81,7 +87,7 @@ class TestBackwardOracles:
 
     def test_sum_of_softmax_is_constant(self):
         z = t64([0.3, -1.2, 2.0])
-        backward(ad.sum_(ad.softmax(z)))
+        backward(ad.sum_(softmax(z)))
         np.testing.assert_allclose(z.grad, np.zeros(3), atol=1e-12)
 
     def test_cross_entropy_uniform_gradient(self):
@@ -101,7 +107,7 @@ class TestBackwardOracles:
     def test_backward_twice_identical(self):
         rng = np.random.default_rng(4)
         x = t64(rng.normal(size=(3, 3)))
-        loss = ad.sum_(ad.softmax(ad.matmul(x, x)))
+        loss = ad.sum_(softmax(ad.matmul(x, x)))
         backward(loss)
         g1 = x.grad.copy()
         x.zero_grad()
@@ -146,7 +152,7 @@ def _op_cases():
     def softmax_case(rng):
         p = {"x": t64(rng.normal(size=(2, 5), scale=2))}
         proj = _Projector(np.random.default_rng(int(rng.integers(1 << 30))))
-        return p, lambda ps: proj(ad.softmax(ps["x"], axis=-1))
+        return p, lambda ps: proj(softmax(ps["x"], axis=-1))
 
     def layernorm_case(rng):
         p = {"x": t64(rng.normal(size=(3, 6))), "g": t64(rng.normal(size=6)),
@@ -198,6 +204,13 @@ def _op_cases():
         proj = _Projector(np.random.default_rng(int(rng.integers(1 << 30))))
         return p, lambda ps: proj(ad.attention(ps["q"], ps["k"], ps["v"], 3))
 
+    def shared_query_attention_case(rng):
+        # pooler form: (L, D) queries shared by every batch row
+        p = {"q": t64(rng.normal(size=(3, 4))), "k": t64(rng.normal(size=(2, 5, 4))),
+             "v": t64(rng.normal(size=(2, 5, 4)))}
+        proj = _Projector(np.random.default_rng(int(rng.integers(1 << 30))))
+        return p, lambda ps: proj(ad.attention(ps["q"], ps["k"], ps["v"], 2))
+
     def batched_matmul_case(rng):
         p = {"a": t64(rng.normal(size=(2, 3, 4))), "b": t64(rng.normal(size=(4, 5)))}
         proj = _Projector(np.random.default_rng(int(rng.integers(1 << 30))))
@@ -240,6 +253,7 @@ def _op_cases():
         ("masked_attention", attention_case),
         ("cross_attention", cross_attention_case),
         ("unmasked_attention", unmasked_attention_case),
+        ("shared_query_attention", shared_query_attention_case),
         ("sum", unary(lambda x: ad.sum_(x, axis=0))),
         ("mean", unary(lambda x: mean(x, axis=1))),
         ("mean_all", unary(mean)),
@@ -268,7 +282,7 @@ def _unfused_attention(q, k, v, n_heads, mask):
                       1.0 / np.sqrt(dh))
     if mask is not None:
         scores = ad.add(scores, Tensor(np.where(mask, 0.0, -1e300)))
-    out = ad.matmul(ad.softmax(scores, axis=-1), heads(v, m))
+    out = ad.matmul(softmax(scores, axis=-1), heads(v, m))
     return ad.reshape(ad.swapaxes(out, 1, 2), (n, l, d))
 
 

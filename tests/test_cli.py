@@ -164,6 +164,20 @@ def test_empty_manifest_rejected(workspace, capsys, command):
     assert not out.exists()
 
 
+def test_adapt_on_empty_manifest_exits_two(workspace, capsys):
+    root, _, ckpt_path = workspace
+    empty = root / "empty.jsonl"
+    empty.write_text("")
+    adapt_cfg = str(root / "adapt-empty.json")
+    TrainConfig(stage="adapt", steps=4, batch_size=4, learning_rate=5e-3,
+                seed=2, model=TINY).save(adapt_cfg)
+    out = root / "adapter-empty.ckpt"
+    assert cli_dispatch(["adapt", "--config", adapt_cfg, "--manifest", str(empty),
+                         "--checkpoint", ckpt_path, "--out", str(out)]) == 2
+    assert f"{empty}: empty manifest" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_prompts_round_trip(workspace):
     root, manifest, ckpt_path = workspace
     cache = str(root / "prompts.cache")

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from critiq.metrics import (average_precision, bleu_n, cider, cider_scores,
-                            mean_average_precision, plcc, rouge_l, srcc)
+from critiq.metrics import (average_precision, bleu_n, cider, cider_scores, plcc,
+                            rouge_l, srcc)
 from oracles import (brute_force_ap, brute_force_bleu, brute_force_cider,
                      brute_force_lcs, recounting_bleu_n)
 
@@ -96,10 +96,6 @@ class TestAveragePrecision:
 
     def test_worked_example(self):
         assert abs(average_precision([0.9, 0.8, 0.7], [1, 0, 1]) - (1 + 2 / 3) / 2) < 1e-12
-
-    def test_map_is_mean_over_classes(self):
-        per_class = [([0.9, 0.1], [1, 0]), ([0.2, 0.8], [1, 0])]
-        assert abs(mean_average_precision(per_class) - 0.75) < 1e-12
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)

@@ -18,7 +18,7 @@ from critiq.model import (ModelConfig, ModelParams, PrefixCache, attentional_poo
 from critiq.synth import SynthSpec, generate_synthetic_corpus
 from critiq.train import caption_images, center_crop
 from critiq.zsl import embed_prompt
-from oracles import encode_text_unimodal, uncached_greedy_caption
+from oracles import encode_text_unimodal, uncached_greedy_caption, unfused_pool
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
                    encoder_layers=1, unimodal_layers=1, multimodal_layers=1,
@@ -135,6 +135,17 @@ class TestAttentionalPool:
             w = e / e.sum()
             expected[i] = sum(w[j] * vals[j] for j in range(k))
         np.testing.assert_allclose(out, expected, atol=1e-6)
+
+    @pytest.mark.parametrize("which", ["con", "gen"])
+    def test_bytewise_equal_to_unfused_chain(self, which):
+        cfg = ModelConfig()
+        params = ModelParams.initialize(cfg, seed=5)
+        images = np.random.default_rng(6).random((16, cfg.image_size, cfg.image_size, 3))
+        v = encode_image(images, params, cfg)
+        got = pool_image(v, params, which)
+        want = unfused_pool(v, *(params[f"pool/{which}/{n}"] for n in ("q", "wk", "wv")))
+        assert got.data.dtype == want.data.dtype == np.float32
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestUnimodalText:
@@ -364,15 +375,6 @@ class TestPrefixCache:
                 for r in records]
 
     @staticmethod
-    def nodes(prefixes):
-        """Every node of the prefix trie but its root."""
-        out, stack = [], list(prefixes.root.children.values())
-        while stack:
-            out.append(stack.pop())
-            stack.extend(out[-1].children.values())
-        return out
-
-    @staticmethod
     def recorded(monkeypatch):
         """Wrap the decoder the caption loop calls: per image, the logits of
         each step and the token prefix each step fed."""
@@ -419,7 +421,7 @@ class TestPrefixCache:
         assert len(shared) > len(images)
         assert shared == steps
 
-    def test_one_node_per_distinct_prefix(self, corpus, monkeypatch):
+    def test_one_row_per_distinct_prefix(self, corpus, monkeypatch):
         params = deep_params(34)
         vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
         steps = self.recorded(monkeypatch)
@@ -428,22 +430,21 @@ class TestPrefixCache:
             generate_caption(img, params, DEEP, vocab, 16, prefixes)
         distinct = {prefix for prefix, _ in steps}
         assert len(distinct) < len(steps)          # some steps were hits
-        assert len(self.nodes(prefixes)) == len(distinct)
+        assert set(prefixes.rows) == distinct
 
-    def test_node_holds_its_own_position_only(self, corpus):
+    def test_rows_owned_and_from_full_prefix_runs(self, corpus):
         params = deep_params(34)
         vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
         prefixes = PrefixCache(params)
         for img in self.crops(corpus):
             generate_caption(img, params, DEEP, vocab, 16, prefixes)
-        per_node = (2 * DEEP.unimodal_layers + 1) * DEEP.hidden_dim
-        depths = set()
-        for node in self.nodes(prefixes):
-            depths.add(node.length)
-            # what the node keeps alive: its arrays, or the arrays they view
-            owners = [a if a.base is None else a.base for a in (node.out, node.kv)]
-            assert sum({id(a): a.size for a in owners}.values()) <= per_node
-        assert len(depths) == DEEP.max_text_length - 1
+        with ad.no_grad():
+            for prefix, row in prefixes.rows.items():
+                # its own (D,) array, not a view keeping a whole run alive
+                assert row.shape == (DEEP.hidden_dim,) and row.base is None
+                full = model._run_unimodal(np.asarray([prefix]), params, DEEP)
+                assert row.tobytes() == full.data[0, -1].tobytes()
+        assert {len(p) for p in prefixes.rows} == set(range(1, DEEP.max_text_length))
 
     def test_cache_bound_to_its_params(self):
         params, other = deep_params(34), deep_params(35)

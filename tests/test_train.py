@@ -143,7 +143,7 @@ class TestPretrain:
 
 
 def test_desk_default_step_graph_size():
-    """One pretraining step at the desk defaults builds at most 301 graph nodes
+    """One pretraining step at the desk defaults builds at most 293 graph nodes
     (leaves included); the count depends on the architecture, not the batch."""
     cfg = TrainConfig()
     params = ModelParams.initialize(cfg.model, seed=0)
@@ -159,7 +159,7 @@ def test_desk_default_step_graph_size():
             if id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
-    assert len(seen) <= 301
+    assert len(seen) <= 293
 
 
 class TestResumeEquality:
