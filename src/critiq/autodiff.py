@@ -253,7 +253,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
-    if a.requires_grad:
+    if a.requires_grad and b.data.ndim == 2:  # one GEMM over all of g's leading axes
+        _accumulate(a, (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape))
+    elif a.requires_grad:
         _accumulate(a, _reduce_to_shape(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
     if b.requires_grad and b.data.ndim == 2:  # one GEMM over all of a's leading axes
         _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))

@@ -107,35 +107,39 @@ def _ngram_counts(tokens: list[str], n: int) -> dict[tuple[str, ...], int]:
     return counts
 
 
-def bleu_n(candidate, references, n: int) -> float:
-    """Sentence-level BLEU-n with brevity penalty."""
+def bleu_n(candidate, references, n: int, all_orders: bool = False):
+    """Sentence-level BLEU-n with brevity penalty. With `all_orders`, the tuple
+    (BLEU-1, ..., BLEU-n), each order counted once for all of them."""
     if n not in (1, 2, 3, 4):
         raise ValueError(f"bleu_n: n must be in 1..4, got {n}")
     cand = _tokens(candidate)
     refs = [_tokens(r) for r in references]
     if not refs:
         raise ValueError("bleu_n: need at least one reference")
-    if not cand:
+    scores: list[float] = []
+    if cand:
+        c_len = len(cand)
+        r_len = min((abs(len(r) - c_len), len(r)) for r in refs)[1]
+        bp = min(1.0, math.exp(1.0 - r_len / c_len))
+        log_precisions = []
+        for k in range(1, n + 1):
+            cand_counts = _ngram_counts(cand, k)
+            total = sum(cand_counts.values())
+            if total == 0:
+                break
+            ref_counts = [_ngram_counts(r, k) for r in refs]
+            clipped = 0
+            for g, c in cand_counts.items():
+                best = max(rc.get(g, 0) for rc in ref_counts)
+                clipped += min(c, best)
+            if clipped == 0:
+                break
+            log_precisions.append(math.log(clipped / total))
+            scores.append(bp * math.exp(sum(log_precisions) / k))
+    else:
         warnings.warn("bleu_n: empty candidate scores 0")
-        return 0.0
-    log_precisions = []
-    for k in range(1, n + 1):
-        cand_counts = _ngram_counts(cand, k)
-        total = sum(cand_counts.values())
-        if total == 0:
-            return 0.0
-        ref_counts = [_ngram_counts(r, k) for r in refs]
-        clipped = 0
-        for g, c in cand_counts.items():
-            best = max(rc.get(g, 0) for rc in ref_counts)
-            clipped += min(c, best)
-        if clipped == 0:
-            return 0.0
-        log_precisions.append(math.log(clipped / total))
-    c_len = len(cand)
-    r_len = min((abs(len(r) - c_len), len(r)) for r in refs)[1]
-    bp = min(1.0, math.exp(1.0 - r_len / c_len))
-    return bp * math.exp(sum(log_precisions) / n)
+    scores += [0.0] * (n - len(scores))  # an order with no match zeroes it and all above
+    return tuple(scores) if all_orders else scores[-1]
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:

@@ -124,7 +124,10 @@ class ModelParams:
         return ad.exp(self["log_tau"])
 
     def clamp_log_tau(self) -> None:
-        self["log_tau"].data = np.clip(self["log_tau"].data, LOG_TAU_MIN, LOG_TAU_MAX)
+        """Clip log_tau into its range in place, so an optimizer arena that
+        holds its array keeps training it."""
+        log_tau = self["log_tau"].data
+        np.clip(log_tau, LOG_TAU_MIN, LOG_TAU_MAX, out=log_tau)
 
     @staticmethod
     def _registry_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -367,6 +370,28 @@ def encode_text_batch(seqs: list[list[int]], params: ModelParams,
     return ad.gather_rows(w, np.array([len(s) for s in seqs]) - 1)
 
 
+def encode_text_views(seqs: list[list[int]], ids, params: ModelParams,
+                      cfg: ModelConfig) -> tuple[Tensor, Tensor]:
+    """One unimodal pass over two text views of a batch: the contrastive CLS
+    outputs of `seqs` (N, D), as `encode_text_batch` gives them, and the
+    unimodal outputs at the decoder input `ids` (N, L, D), for
+    `decode_multimodal(..., unimodal=)`. Both views go through the stack as one
+    (2N, L') batch padded to the longer of them; under the causal mask the
+    extra PADs reach no real position."""
+    con = tok.pad_ids(seqs)
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 2 or ids.shape[0] != con.shape[0]:
+        raise ad.ShapeError(f"encode_text_views: decoder ids {ids.shape} do not match "
+                            f"{con.shape[0]} contrastive sequences")
+    n, l = ids.shape
+    both = np.full((2 * n, max(con.shape[1], l)), tok.PAD, dtype=np.int64)
+    both[:n, :con.shape[1]] = con
+    both[n:, :l] = ids
+    x = _run_unimodal(both, params, cfg)
+    cls = ad.gather_rows(ad.index(x, slice(0, n)), np.array([len(s) for s in seqs]) - 1)
+    return cls, ad.index(x, (slice(n, None), slice(0, l)))
+
+
 def image_embedding_batch(images, params: ModelParams, cfg: ModelConfig) -> Tensor:
     """Unnormalized contrastive image embeddings (N, D)."""
     v = encode_image(images, params, cfg)
@@ -405,7 +430,8 @@ class PrefixCache:
 
 
 def decode_multimodal(tokens, pooled_v: Tensor, params: ModelParams,
-                      cfg: ModelConfig, cache: dict | None = None) -> Tensor:
+                      cfg: ModelConfig, cache: dict | None = None,
+                      unimodal: Tensor | None = None) -> Tensor:
     """Caption logits, causal in text, cross-attending to pooled image tokens.
 
     tokens: list[int] with pooled_v (n_q, D), or list[list[int]] / int array
@@ -418,6 +444,10 @@ def decode_multimodal(tokens, pooled_v: Tensor, params: ModelParams,
     multimodal keys and values of earlier positions (the only key/value cache)
     are reused instead of recomputed. Cached arrays are cut from the graph, so
     a cache needs `ad.no_grad()`.
+
+    `unimodal`, without a cache, is the unimodal output at a token batch
+    (N, L, D) that the caller already ran (see `encode_text_views`); the
+    unimodal stack then does not run again.
     """
     if cache is not None and ad.grad_enabled():
         raise RuntimeError("decode_multimodal: a cache needs ad.no_grad(); cached keys "
@@ -431,7 +461,13 @@ def decode_multimodal(tokens, pooled_v: Tensor, params: ModelParams,
     if ids.ndim != 2 or ids.shape[0] != pooled_v.shape[0]:
         raise ad.ShapeError(f"decode_multimodal: token batch {ids.shape} does not match "
                             f"pooled image batch {pooled_v.shape}")
-    if cache is None:
+    if unimodal is not None:
+        if cache is not None or unimodal.shape[:-1] != ids.shape:
+            raise ad.ShapeError(f"decode_multimodal: unimodal output {unimodal.shape} "
+                                f"does not match token batch {ids.shape}, or comes "
+                                "with a cache")
+        start, x = 0, unimodal
+    elif cache is None:
         start = 0
         x = _run_unimodal(ids, params, cfg)
     else:

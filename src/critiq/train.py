@@ -32,8 +32,9 @@ from .data import (AugmentationConfig, ManifestRecord, load_manifest, make_batch
                    record_image_path, steps_per_epoch)
 from .imageio import read_image
 from .model import (ModelConfig, ModelParams, PrefixCache, check_max_len,
-                    decode_multimodal, encode_image, encode_text_batch, generate_caption,
+                    decode_multimodal, encode_image, encode_text_views, generate_caption,
                     image_embedding_batch, pool_image)
+from .model import encode_text_batch  # noqa: F401  (unused; the benchmark tracer wraps it here)
 from .optim import AdamW, clip_global_norm, linear_decay_lr
 from .prompts import PromptBank
 from .util import write_atomic
@@ -103,17 +104,18 @@ def pretrain_step_loss(batch, params: ModelParams, cfg: ModelConfig,
                        weights: obj.LossWeights):
     """Forward pass for one batch; returns (total, contrastive, generative)."""
     v = encode_image(batch.images, params, cfg)
+    gen_in = batch.gen_tokens[:, :-1]
+    cls, text = encode_text_views(batch.con_tokens, gen_in, params, cfg)
     pooled_con = pool_image(v, params, "con")
     n = pooled_con.shape[0]
     x = ad.l2_normalize(ad.reshape(pooled_con, (n, pooled_con.shape[2])))
-    y = ad.l2_normalize(encode_text_batch(batch.con_tokens, params, cfg))
+    y = ad.l2_normalize(cls)
     loss_con = obj.contrastive_loss(x, y, params.tau())
 
     pooled_gen = pool_image(v, params, "gen")
-    gen_in = batch.gen_tokens[:, :-1]
     targets = batch.gen_tokens[:, 1:]
     mask = targets != tok.PAD
-    logits = decode_multimodal(gen_in, pooled_gen, params, cfg)
+    logits = decode_multimodal(gen_in, pooled_gen, params, cfg, unimodal=text)
     loss_gen = obj.generative_loss(logits, targets, mask)
     return obj.pretraining_loss(loss_con, loss_gen, weights), loss_con, loss_gen
 
@@ -175,14 +177,17 @@ def pretrain(cfg: TrainConfig, manifest_path: str, out_path: str,
                 f"non-finite loss at step {step}: total={float(loss.data)} "
                 f"contrastive={float(loss_con.data)} generative={float(loss_gen.data)}")
         backward(loss, leaves=params.tensors.values())
+        grad = opt.gather_grads()
         norm = {}
         if cfg.grad_clip > 0:
-            norm["grad_norm"] = clip_global_norm(params.tensors, cfg.grad_clip)
+            norm["grad_norm"] = clip_global_norm(grad, cfg.grad_clip)
         opt.step(lr)
         params.clamp_log_tau()
         log.add(kind="step", step=step, loss=float(loss.data),
                 loss_con=float(loss_con.data), loss_gen=float(loss_gen.data),
                 tau=float(params.tau().data), lr=lr, **norm)
+        # the losses hold this step's whole graph; free it before the next forward
+        del loss, loss_con, loss_gen
         done = step + 1
         if cfg.checkpoint_every > 0 and done % cfg.checkpoint_every == 0 and done < cfg.steps:
             params.save(out_path, extra=opt.state_tensors())
@@ -444,8 +449,9 @@ def evaluate(backbone_path: str, manifest_path: str, tasks,
                                  f"{r.id!r} has none")
         captions = caption_images(params, vocab, records, manifest_path, caption_max_len)
         refs = [[" ".join(tok.split_words(c)) for c in r.comments] for r in records]
-        bleu = {f"bleu{n}": float(np.mean([met.bleu_n(c, rs, n)
-                                           for c, rs in zip(captions, refs)]))
+        per_caption = [met.bleu_n(c, rs, 4, all_orders=True)
+                       for c, rs in zip(captions, refs)]
+        bleu = {f"bleu{n}": float(np.mean([s[n - 1] for s in per_caption]))
                 for n in (1, 2, 3, 4)}
         rouge = float(np.mean([met.rouge_l(c, rs) for c, rs in zip(captions, refs)]))
         cider = met.cider(list(zip(captions, refs)))

@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from critiq import autodiff as ad
+from critiq import optim
 from critiq import tokenizer as tok
 from critiq import zsl
 from critiq.model import (ModelConfig, ModelParams, _run_unimodal, decode_multimodal,
@@ -228,6 +229,59 @@ def uncached_greedy_caption(image, params: ModelParams, cfg: ModelConfig,
                 break
             seq.append(nxt)
     return tok.decode(seq, vocab)
+
+
+class PerTensorAdamW:
+    """AdamW updated tensor by tensor, each with its own moment arrays, and
+    skipping tensors without a gradient: the reference for the flat-arena
+    `optim.AdamW`, which must match it byte for byte."""
+
+    def __init__(self, params: dict, weight_decay: float = 0.0,
+                 no_decay: tuple[str, ...] = ("log_tau",)):
+        self.params = params
+        self.weight_decay = weight_decay
+        self.no_decay = no_decay
+        self.step_count = 0
+        self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
+        self.v = {n: np.zeros_like(t.data) for n, t in params.items()}
+
+    def step(self, lr: float) -> None:
+        self.step_count += 1
+        bc1 = 1.0 - optim.BETA1 ** self.step_count
+        bc2 = 1.0 - optim.BETA2 ** self.step_count
+        for name, t in self.params.items():
+            if t.grad is None:
+                continue
+            g = t.grad
+            dt = t.data.dtype.type
+            m, v = self.m[name], self.v[name]
+            m *= dt(optim.BETA1)
+            m += dt(1 - optim.BETA1) * g
+            v *= dt(optim.BETA2)
+            v += dt(1 - optim.BETA2) * (g * g)
+            denom = np.sqrt(v / dt(bc2))
+            denom += dt(optim.EPS)
+            update = m / dt(bc1)
+            update /= denom
+            if self.weight_decay > 0 and name not in self.no_decay:
+                update += dt(self.weight_decay) * t.data
+            update *= dt(lr)
+            t.data = t.data - update
+
+
+def per_tensor_global_norm(grads) -> float:
+    """The joint L2 norm of several gradient arrays, each squared and summed
+    in float64 on its own: the reference for the flat, blocked norm."""
+    return math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
+
+
+def assert_arena_views(opt: optim.AdamW, tensors: dict) -> None:
+    """Every parameter and both of its moments still live in the arenas."""
+    state = opt.state_tensors()
+    for name, t in tensors.items():
+        assert np.shares_memory(t.data, opt.data), name
+        assert np.shares_memory(state[f"opt/m/{name}"], opt._m), name
+        assert np.shares_memory(state[f"opt/v/{name}"], opt._v), name
 
 
 def sha256_file(path: str) -> bytes:

@@ -204,3 +204,17 @@ def test_eval_with_prompt_cache_matches_fresh(workspace):
                          "--task", "zsl-iaa", "--prompt-cache", cache,
                          "--out", r2]) == 0
     assert pathlib.Path(r1).read_text() == pathlib.Path(r2).read_text()
+
+
+@pytest.mark.parametrize("field", ["grad_clip", "weight_decay"])
+def test_pretrain_with_negative_optimizer_field_exits_two(workspace, capsys, field):
+    root, manifest, _ = workspace
+    cfg = TrainConfig(stage="pretrain", steps=2, batch_size=4, seed=1, model=TINY).to_dict()
+    cfg[field] = -1.0
+    cfg_path = root / f"bad-{field}.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out, log = root / f"bad-{field}.ckpt", root / f"bad-{field}.jsonl"
+    assert cli_dispatch(["pretrain", "--config", str(cfg_path), "--manifest", manifest,
+                         "--out", str(out), "--log", str(log)]) == 2
+    assert f"{field} must be >= 0, got -1.0" in capsys.readouterr().err
+    assert not any(p.exists() for p in (out, log, pathlib.Path(vocab_path_for(str(out)))))

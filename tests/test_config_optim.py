@@ -7,8 +7,9 @@ import pytest
 
 from critiq.autodiff import Tensor
 from critiq.config import LOSS_WEIGHT_SWEEP, MARGIN_SWEEP, TrainConfig
-from critiq.model import ModelConfig
-from critiq.optim import AdamW, clip_global_norm, linear_decay_lr
+from critiq.model import ModelConfig, ModelParams
+from critiq.optim import CHUNK, AdamW, clip_global_norm, linear_decay_lr
+from oracles import PerTensorAdamW, assert_arena_views, per_tensor_global_norm
 
 
 class TestTrainConfig:
@@ -29,6 +30,16 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError, match="source_size"):
             TrainConfig(source_size=16)
+
+    @pytest.mark.parametrize("field", ["grad_clip", "weight_decay"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    def test_optimizer_fields_rejected_below_zero(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got {value}"):
+            TrainConfig(**{field: value})
+
+    def test_optimizer_fields_may_be_zero(self):
+        cfg = TrainConfig(grad_clip=0.0, weight_decay=0.0)
+        assert (cfg.grad_clip, cfg.weight_decay) == (0.0, 0.0)
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown config fields"):
@@ -64,18 +75,16 @@ class TestSchedule:
 
 class TestClipping:
     def test_norm_above_threshold_scaled(self):
-        t = Tensor(np.zeros(4), requires_grad=True)
-        t.grad = np.full(4, 3.0)
-        norm = clip_global_norm({"t": t}, 1.0)
+        grad = np.full(4, 3.0)
+        norm = clip_global_norm(grad, 1.0)
         assert abs(norm - 6.0) < 1e-12
-        assert abs(np.linalg.norm(t.grad) - 1.0) < 1e-6
+        assert abs(np.linalg.norm(grad) - 1.0) < 1e-6
 
     def test_norm_below_threshold_untouched(self):
-        t = Tensor(np.zeros(4), requires_grad=True)
-        t.grad = np.full(4, 0.1)
-        g = t.grad.copy()
-        clip_global_norm({"t": t}, 1.0)
-        assert np.array_equal(t.grad, g)
+        grad = np.full(4, 0.1)
+        g = grad.copy()
+        clip_global_norm(grad, 1.0)
+        assert np.array_equal(grad, g)
 
 
 class TestAdamW:
@@ -144,3 +153,104 @@ class TestAdamW:
             opt.load_state({})
         with pytest.raises(ValueError, match="opt/m/p"):
             opt.load_state({"opt/step": np.array(1.0)})
+
+
+def _arena_params(dtype, rng):
+    # the first tensor spans a block boundary, and the decayed range ends
+    # inside the second block
+    shapes = {"w": (300, 250), "log_tau": (), "b": (40,)}
+    return {n: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+            for n, s in shapes.items()}
+
+
+class TestFlatArena:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_steps_bytewise_equal_per_tensor_oracle(self, dtype):
+        rng = np.random.default_rng(11)
+        params = _arena_params(dtype, rng)
+        assert params["w"].data.size + params["b"].data.size > CHUNK
+        twins = {n: Tensor(t.data.copy(), requires_grad=True) for n, t in params.items()}
+        opt, oracle = AdamW(params, weight_decay=0.05), PerTensorAdamW(twins, 0.05)
+        for step in range(6):
+            for n in params:
+                g = rng.normal(size=params[n].shape).astype(dtype)
+                params[n].grad, twins[n].grad = g.copy(), g.copy()
+            opt.step(1e-2 * (1 + step))
+            oracle.step(1e-2 * (1 + step))
+            for n in params:
+                assert params[n].data.tobytes() == twins[n].data.tobytes(), (step, n)
+                assert opt.m[n].tobytes() == oracle.m[n].tobytes(), (step, n)
+                assert opt.v[n].tobytes() == oracle.v[n].tobytes(), (step, n)
+
+    @pytest.mark.parametrize("max_norm", [1e6, 1.0])
+    def test_clip_matches_float64_oracle(self, max_norm):
+        rng = np.random.default_rng(12)
+        params = _arena_params(np.float32, rng)
+        opt = AdamW(params)
+        for t in params.values():
+            t.grad = rng.normal(size=t.shape).astype(np.float32)
+        grads = [t.grad.copy() for t in params.values()]
+        expected = per_tensor_global_norm(grads)
+        assert (expected > max_norm) == (max_norm == 1.0)
+        before = opt.gather_grads().copy()
+        norm = clip_global_norm(opt.grad, max_norm)
+        assert abs(norm - expected) <= 1e-12 * expected
+        if norm > max_norm:
+            assert np.array_equal(opt.grad, before * np.float32(max_norm / norm))
+            for t, g in zip(params.values(), grads):   # .grad views the clipped arena
+                np.testing.assert_allclose(t.grad, g * (max_norm / expected), rtol=1e-6)
+        else:
+            assert np.array_equal(opt.grad, before)
+
+    def test_views_survive_steps_clamp_and_load_state(self):
+        cfg = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
+                          encoder_layers=1, unimodal_layers=1, multimodal_layers=1,
+                          mlp_dim=32, generative_pool_queries=2, vocab_size=64,
+                          max_text_length=16)
+        params = ModelParams.initialize(cfg, seed=0)
+        opt = AdamW(params.tensors, weight_decay=0.01)
+        rng = np.random.default_rng(3)
+        for _ in range(2):
+            for t in params.tensors.values():
+                t.grad = rng.normal(size=t.shape).astype(np.float32)
+            opt.step(1e-2)
+            params["log_tau"].data[...] = 50.0
+            params.clamp_log_tau()
+            assert float(opt.data[-1]) == np.float32(np.log(10.0))  # log_tau sits last
+        opt.load_state({k: v.copy() for k, v in opt.state_tensors().items()})
+        assert_arena_views(opt, params.tensors)
+
+    def test_none_gradient_raises_naming_the_tensor(self):
+        p = Tensor(np.zeros(3), requires_grad=True)
+        q = Tensor(np.zeros(2), requires_grad=True)
+        opt = AdamW({"p": p, "pool/q": q})
+        p.grad = np.ones(3)
+        with pytest.raises(ValueError, match="'pool/q' has no gradient"):
+            opt.step(0.1)
+        assert opt.step_count == 0
+
+    def test_rebound_parameter_raises(self):
+        p = Tensor(np.zeros(3), requires_grad=True)
+        opt = AdamW({"p": p})
+        p.data = np.ones(3)
+        p.grad = np.ones(3)
+        with pytest.raises(RuntimeError, match="'p' was rebound"):
+            opt.step(0.1)
+
+    def test_step_regathers_fresh_gradients(self):
+        # a gradient set after gather_grads, even for one tensor of two, is
+        # never left unread
+        p = Tensor(np.zeros(3), requires_grad=True)
+        q = Tensor(np.zeros(2), requires_grad=True)
+        opt = AdamW({"p": p, "q": q})
+        p.grad, q.grad = np.ones(3), np.ones(2)
+        opt.gather_grads()
+        p.grad = -np.ones(3)
+        opt.step(0.1)
+        assert (p.data > 0).all() and (q.data < 0).all()
+
+    def test_mixed_dtypes_rejected(self):
+        with pytest.raises(ValueError, match="one dtype"):
+            AdamW({"a": Tensor(np.zeros(2, np.float32), requires_grad=True),
+                   "b": Tensor(np.zeros(2, np.float64), requires_grad=True)})
+

@@ -2,6 +2,7 @@
 scipy cross-checks, and invariance properties."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,19 @@ class TestBleu:
                 got = bleu_n(cand, refs, n)
                 assert got.hex() == recounting_bleu_n(cand, refs, n).hex()
                 assert bleu_n(" ".join(cand), [" ".join(r) for r in refs], n) == got
+
+    def test_all_orders_bitwise_equal_to_one_call_per_order(self):
+        rng = np.random.default_rng(10)
+        words = ["a", "b", "c", "d"]
+        for _ in range(300):
+            cand = list(rng.choice(words, size=rng.integers(0, 17)))
+            refs = [list(rng.choice(words, size=rng.integers(1, 17)))
+                    for _ in range(int(rng.integers(1, 6)))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = bleu_n(cand, refs, 4, all_orders=True)
+            want = [recounting_bleu_n(cand, refs, n) for n in (1, 2, 3, 4)]
+            assert [g.hex() for g in got] == [w.hex() for w in want]
 
     def test_all_scores_in_unit_interval(self):
         rng = np.random.default_rng(8)

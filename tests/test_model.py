@@ -183,6 +183,66 @@ class TestUnimodalText:
             encode_text_unimodal(seq, tiny_params, TINY)
 
 
+class TestJointTextPass:
+    """`encode_text_views` against separate runs of its two text views, with
+    either view the longer one."""
+
+    @staticmethod
+    def views(rng, con_len, dec_len):
+        seqs = [[int(t) for t in rng.integers(5, DEEP.vocab_size, size=k - 1)] + [tok.CLS]
+                for k in (con_len, max(1, con_len - 2), 1)]
+        ids = rng.integers(5, DEEP.vocab_size, size=(3, dec_len))
+        ids[:, 0] = tok.BOS
+        ids[1, dec_len // 2:] = tok.PAD
+        return seqs, ids
+
+    @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("con_len,dec_len", [(9, 4), (3, 8)])
+    def test_rows_match_separate_passes(self, dtype, atol, con_len, dec_len):
+        params = deep_params(31, dtype)
+        seqs, ids = self.views(np.random.default_rng(32), con_len, dec_len)
+        cls, text = model.encode_text_views(seqs, ids, params, DEEP)
+        assert cls.data.dtype == text.data.dtype == dtype
+        np.testing.assert_allclose(cls.data, model.encode_text_batch(seqs, params, DEEP).data,
+                                   rtol=0, atol=atol)
+        np.testing.assert_allclose(text.data, model._run_unimodal(ids, params, DEEP).data,
+                                   rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("con_len,dec_len", [(9, 4), (3, 8)])
+    def test_gradients_match_separate_passes(self, con_len, dec_len):
+        params = deep_params(33, np.float64)
+        rng = np.random.default_rng(34)
+        seqs, ids = self.views(rng, con_len, dec_len)
+        w_cls = Tensor(rng.normal(size=(3, DEEP.hidden_dim)))
+        w_text = Tensor(rng.normal(size=(3, dec_len, DEEP.hidden_dim)))
+
+        def grads(cls, text):
+            loss = ad.add(ad.sum_(ad.mul(cls, w_cls)), ad.sum_(ad.mul(text, w_text)))
+            params.zero_grads()
+            ad.backward(loss, leaves=params.tensors.values())
+            return {n: t.grad.copy() for n, t in params.items()}
+
+        joint = grads(*model.encode_text_views(seqs, ids, params, DEEP))
+        apart = grads(model.encode_text_batch(seqs, params, DEEP),
+                      model._run_unimodal(ids, params, DEEP))
+        for name in joint:
+            np.testing.assert_allclose(joint[name], apart[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    def test_decoder_logits_match_a_full_decode(self):
+        params = deep_params(35)
+        rng = np.random.default_rng(36)
+        seqs, ids = self.views(rng, 5, 6)
+        pooled = Tensor(rng.normal(size=(3, DEEP.generative_pool_queries,
+                                         DEEP.hidden_dim)).astype(np.float32))
+        _, text = model.encode_text_views(seqs, ids, params, DEEP)
+        np.testing.assert_allclose(
+            decode_multimodal(ids, pooled, params, DEEP, unimodal=text).data,
+            decode_multimodal(ids, pooled, params, DEEP).data, rtol=0, atol=1e-5)
+        with pytest.raises(ad.ShapeError, match="does not match token batch"):
+            decode_multimodal(ids[:, :-1], pooled, params, DEEP, unimodal=text)
+
+
 class TestContrastivePair:
     """Image embeddings as zero-shot scoring normalizes them, against prompt
     embeddings from `embed_prompt`."""

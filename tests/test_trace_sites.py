@@ -5,7 +5,8 @@ the benchmark's caption and zero-shot timings come from calls made through
 those names. This installs the tracer over every site, runs a tiny evaluate
 for `caption`, `zsl-iaa` and `zsl-style`, and checks that the spans show up.
 Zero-shot scoring makes one scorer call per task over all images, so the
-benchmark's zero-shot span list is never empty."""
+benchmark's zero-shot span list is never empty. A traced tiny pretraining
+checks the same for the phases of each pretraining step."""
 
 import pytest
 
@@ -14,7 +15,7 @@ from critiq.config import TrainConfig
 from critiq.data import load_manifest
 from critiq.model import ModelConfig
 from critiq.synth import SynthSpec, generate_synthetic_corpus
-from perfbench.spans import SITES, Tracer
+from perfbench.spans import SITES, Tracer, traced_windows
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
                    encoder_layers=1, unimodal_layers=1, multimodal_layers=1,
@@ -60,3 +61,28 @@ def test_every_site_traced_through_evaluate(backbone):
                and parents[i] == "model.generate_caption"]
     assert len(decodes) >= n
     assert all(s.attrs["positions"] == 1 for s in decodes)
+
+
+def test_each_pretraining_step_yields_one_span_per_phase(tmp_path):
+    """The benchmark's forward, backward, clip and optimizer phases each read
+    one span per step of a traced `train.pretrain`, so none goes empty."""
+    manifest = generate_synthetic_corpus(SynthSpec(count=6, comments_min=1,
+                                                   comments_max=2), str(tmp_path), 4)
+    steps = 3
+    tracer = Tracer()
+    tracer.install(SITES)
+    try:
+        train.pretrain(TrainConfig(stage="pretrain", steps=steps, batch_size=3,
+                                   learning_rate=1e-3, seed=2, model=TINY),
+                       manifest, str(tmp_path / "model.ckpt"))
+    finally:
+        assert tracer.uninstall()
+    spans = tracer.spans
+    (pre,) = [i for i, s in enumerate(spans) if s.name == "train.pretrain"]
+    windows, untraced = traced_windows(spans, pre)
+    assert len(windows) == steps and not untraced
+    phases = ("train.pretrain_step_loss", "autodiff.backward", "optim.clip_global_norm",
+              "optim.adamw_step")
+    for lo, hi in windows:
+        inside = [s.name for s in spans if lo <= s.start < hi and s.parent == pre]
+        assert [inside.count(name) for name in phases] == [1] * len(phases), inside

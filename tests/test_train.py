@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -15,18 +16,20 @@ from critiq import checkpoint as ckpt
 from critiq import metrics as met
 from critiq import objectives as obj
 from critiq import tokenizer as tok
-from critiq import zsl
+from critiq import train, zsl
 from critiq.cli import cli_dispatch
 from critiq.config import TrainConfig
 from critiq.data import Batch, load_manifest, record_image_path, save_manifest
 from critiq.imageio import read_image
 from critiq.model import ModelConfig, ModelParams, generate_caption
+from critiq.optim import AdamW
 from critiq.prompts import PromptBank
 from critiq.synth import SynthSpec, generate_synthetic_corpus
 from critiq.train import (RunLog as RunLogBytes, adapter_finetune, center_crop,
                           embed_images, evaluate, export_prompt_cache, load_adapter,
                           pretrain, pretrain_step_loss, vocab_path_for, zsl_score_lines)
-from oracles import assert_match_scalar_oracle, sha256_file, uncached_greedy_caption
+from oracles import (assert_arena_views, assert_match_scalar_oracle, sha256_file,
+                     uncached_greedy_caption)
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
                    encoder_layers=1, unimodal_layers=1, multimodal_layers=1,
@@ -77,6 +80,20 @@ class TestPretrain:
         _, unclipped, _ = pretrain(tiny_cfg(steps=2, grad_clip=0.0), corpus,
                                    str(tmp_path / "m.ckpt"))
         assert all("grad_norm" not in r for r in unclipped.records)
+
+    def test_update_reads_the_clipped_gradient(self, corpus, tmp_path, monkeypatch):
+        seen = []
+
+        class Recorded(AdamW):
+            def step(self, lr):
+                seen.append(float(np.linalg.norm(self.grad.astype(np.float64))))
+                super().step(lr)
+
+        monkeypatch.setattr(train, "AdamW", Recorded)
+        _, log, _ = pretrain(tiny_cfg(steps=3, grad_clip=1e-3), corpus,
+                             str(tmp_path / "c.ckpt"))
+        assert all(r["grad_norm"] > 1e-3 for r in log.records)
+        assert seen == pytest.approx([1e-3] * 3, rel=1e-5)
 
     def test_zero_step_run_keeps_init_bitwise(self, corpus, tmp_path):
         out = str(tmp_path / "zero.ckpt")
@@ -143,7 +160,7 @@ class TestPretrain:
 
 
 def test_desk_default_step_graph_size():
-    """One pretraining step at the desk defaults builds at most 293 graph nodes
+    """One pretraining step at the desk defaults builds at most 267 graph nodes
     (leaves included); the count depends on the architecture, not the batch."""
     cfg = TrainConfig()
     params = ModelParams.initialize(cfg.model, seed=0)
@@ -159,10 +176,45 @@ def test_desk_default_step_graph_size():
             if id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
-    assert len(seen) <= 293
+    assert len(seen) <= 267
+
+
+def test_step_graph_released_before_next_forward(corpus, tmp_path, monkeypatch):
+    """Step k's losses (and with them its graph) are gone when step k+1's
+    forward starts."""
+    refs = []
+
+    def spy(*args, **kwargs):
+        assert all(r() is None for r in refs)
+        out = real(*args, **kwargs)
+        refs.extend(weakref.ref(t.data) for t in out)
+        return out
+
+    real = train.pretrain_step_loss
+    monkeypatch.setattr(train, "pretrain_step_loss", spy)
+    pretrain(tiny_cfg(steps=3), corpus, str(tmp_path / "g.ckpt"))
+    assert len(refs) == 9
 
 
 class TestResumeEquality:
+    def test_resumed_params_and_moments_stay_in_the_arena(self, corpus, tmp_path,
+                                                         monkeypatch):
+        made = []
+
+        class Recorded(AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        mid = str(tmp_path / "mid.ckpt")
+        pretrain(tiny_cfg(steps=4), corpus, mid, stop_after=2)
+        monkeypatch.setattr(train, "AdamW", Recorded)
+        params, _, _ = pretrain(tiny_cfg(steps=4), corpus, str(tmp_path / "end.ckpt"),
+                                resume_from=mid)
+        (opt,) = made
+        assert opt.step_count == 4
+        assert_arena_views(opt, params.tensors)
+
     def test_optimizer_state_round_trips(self, corpus, tmp_path):
         path = str(tmp_path / "f.ckpt")
         pretrain(tiny_cfg(steps=6), corpus, path)
