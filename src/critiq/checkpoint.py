@@ -59,11 +59,11 @@ def save(tensors: dict[str, np.ndarray], path: str) -> None:
 
 class _Reader:
     def __init__(self, blob: bytes, path: str):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise CheckpointError(f"{self.path}: truncated file "
                                   f"(wanted {n} bytes at offset {self.pos})")
@@ -79,6 +79,8 @@ class _Reader:
 
 
 def load(path: str) -> dict[str, np.ndarray]:
+    """The tensors of a container file, as read-only views of its bytes: a
+    caller that keeps or changes one copies it."""
     with open(path, "rb") as fh:
         return _parse(fh.read(), path)
 
@@ -102,7 +104,10 @@ def _parse(blob: bytes, path: str) -> dict[str, np.ndarray]:
     count = r.u32()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = r.take(r.u32()).decode("utf-8")
+        try:
+            name = str(r.take(r.u32()), "utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8 ({e})") from None
         rank = r.u32()
         dims = tuple(r.u32() for _ in range(rank))
         tag = r.u8()
@@ -113,8 +118,8 @@ def _parse(blob: bytes, path: str) -> dict[str, np.ndarray]:
         raw = r.take(n * dtype.itemsize)
         if name in tensors:
             raise CheckpointError(f"{path}: duplicate tensor name '{name}'")
-        arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
-        tensors[name] = arr.astype(dtype.newbyteorder("="), copy=True).reshape(dims)
+        # bytes are immutable, so the view is read-only
+        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(dims)
     if r.pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - r.pos} trailing bytes after last tensor")
     return tensors

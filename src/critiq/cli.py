@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .config import TrainConfig
 from .synth import SynthSpec, generate_synthetic_corpus
@@ -98,7 +99,7 @@ def _run(args) -> int:
         if cfg.stage != "pretrain":
             raise ValueError(f"config stage is {cfg.stage!r}, expected 'pretrain'")
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg = replace(cfg, seed=args.seed)
         _, log, _ = pretrain(cfg, args.manifest, args.out, resume_from=args.resume)
         if args.log:
             log.save(args.log)
@@ -111,7 +112,7 @@ def _run(args) -> int:
         if cfg.stage != "adapt":
             raise ValueError(f"config stage is {cfg.stage!r}, expected 'adapt'")
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg = replace(cfg, seed=args.seed)
         _, log, info = adapter_finetune(cfg, args.manifest, args.checkpoint, args.out)
         if args.log:
             log.save(args.log)

@@ -11,13 +11,32 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .model import ModelConfig
-from .util import write_atomic
+from .objectives import LossWeights
+from .util import check_fields, write_atomic
 
 STAGES = ("pretrain", "adapt")
 
-# ablation axes exposed as ready-made grids
-MARGIN_SWEEP = (0.01, 0.05, 0.1, 0.15, 0.2)
-LOSS_WEIGHT_SWEEP = ((2.0, 1.0), (1.0, 1.0), (1.0, 2.0))  # (alpha, beta)
+# field -> (type, op, bound) for util.check_fields. alpha and beta get their
+# range from objectives.LossWeights; 0 turns off weight_decay, grad_clip,
+# eval_every and checkpoint_every
+_RULES = {
+    "steps": (int, ">=", 0),
+    "batch_size": (int, ">=", 1),
+    "learning_rate": (float, ">", 0),
+    "weight_decay": (float, ">=", 0),
+    "alpha": (float, None, None),
+    "beta": (float, None, None),
+    "margin": (float, ">=", 0),
+    "use_residual": (bool, None, None),
+    "use_text_anchor": (bool, None, None),
+    "seed": (int, ">=", 0),
+    "grad_clip": (float, ">=", 0),
+    "eval_every": (int, ">=", 0),
+    "checkpoint_every": (int, ">=", 0),
+    "augment": (bool, None, None),
+    "fixed_comment": (bool, None, None),
+    "source_size": (int, ">=", 1),
+}
 
 
 @dataclass
@@ -44,16 +63,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ValueError(f"stage must be one of {STAGES}, got {self.stage!r}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        for name in ("weight_decay", "grad_clip"):  # 0 turns either off
-            value = getattr(self, name)
-            if not value >= 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_fields(self, _RULES)
+        LossWeights(alpha=self.alpha, beta=self.beta)
+        if not isinstance(self.model, ModelConfig):
+            raise ValueError(f"model must be a ModelConfig, got {self.model!r}")
         if self.source_size < self.model.image_size:
             raise ValueError(f"source_size {self.source_size} smaller than model "
                              f"image_size {self.model.image_size}")

@@ -22,10 +22,29 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import tokenizer as tok
 from .autodiff import Tensor
+from .util import check_fields
 
 TAU_INIT = 0.07
 LOG_TAU_MIN = math.log(1e-3)
 LOG_TAU_MAX = math.log(10.0)
+
+
+# field -> (type, op, bound) for util.check_fields. A caption needs BOS, a
+# word and EOS, and the vocabulary one word beside the reserved ids.
+_MODEL_RULES = {
+    "image_size": (int, ">=", 1),
+    "channels": (int, ">=", 1),
+    "patch_size": (int, ">=", 1),
+    "hidden_dim": (int, ">=", 1),
+    "n_heads": (int, ">=", 1),
+    "encoder_layers": (int, ">=", 0),
+    "unimodal_layers": (int, ">=", 0),
+    "multimodal_layers": (int, ">=", 0),
+    "mlp_dim": (int, ">=", 1),
+    "generative_pool_queries": (int, ">=", 1),
+    "vocab_size": (int, ">=", len(tok.RESERVED) + 1),
+    "max_text_length": (int, ">=", 3),
+}
 
 
 @dataclass(frozen=True)
@@ -44,6 +63,7 @@ class ModelConfig:
     max_text_length: int = 64
 
     def __post_init__(self):
+        check_fields(self, _MODEL_RULES)
         if self.image_size % self.patch_size != 0:
             raise ValueError(f"image_size {self.image_size} not divisible by "
                              f"patch_size {self.patch_size}")
@@ -82,7 +102,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{f.name: int(d[f.name]) for f in fields(cls)})
+        """From JSON values, checked as given, or from a checkpoint's 0-d arrays."""
+        names = [f.name for f in fields(cls)]
+        if set(d) != set(names):
+            raise ValueError(f"model config fields missing: {sorted(set(names) - set(d))}, "
+                             f"unknown: {sorted(set(d) - set(names))}")
+        return cls(**{n: int(v) if isinstance(v := d[n], np.ndarray) else v for n in names})
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -400,17 +425,25 @@ def image_embedding_batch(images, params: ModelParams, cfg: ModelConfig) -> Tens
 
 
 class PrefixCache:
-    """Unimodal text-decoder outputs by token prefix, bound to one `ModelParams`.
+    """Unimodal text-decoder outputs by token prefix, bound to one `ModelParams`,
+    and the captions already decoded with them.
 
     The unimodal stack never sees the image, so its final-LN output at a
     prefix's last position is the same for every image: one cache shared by
     the captions of a run keeps that (D,) row per distinct prefix, and a miss
-    runs the stack once over the whole prefix. The params must not change
-    while the cache is in use."""
+    runs the stack once over the whole prefix. It also keeps each distinct
+    finished caption ([BOS] + words, + EOS if the model ended it) with the
+    pooled generative image tokens of the last image that gave it; later
+    images draft from them (see `generate_caption`). The params must not
+    change while the cache is in use."""
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.rows: dict[tuple[int, ...], np.ndarray] = {}
+        self.captions: list[tuple[int, ...]] = []        # in the order first stored
+        self.pooled: list[np.ndarray] = []               # (n_q, D), one per caption
+        self.index: dict[tuple[int, ...], int] = {}      # caption -> its place in both
+        self.extending: dict[tuple[int, ...], list[int]] = {}  # prefix -> longer captions
 
     def outputs(self, seq: list[int], start: int, params: ModelParams,
                 cfg: ModelConfig) -> Tensor:
@@ -427,6 +460,32 @@ class PrefixCache:
                 row = self.rows[prefix] = x.data[0, -1].copy()
             out.append(row)
         return Tensor(np.stack(out)[None])
+
+    def remember(self, caption: tuple[int, ...], pooled: np.ndarray) -> None:
+        """Store a finished caption with the pooled image tokens that gave it;
+        a caption stored before keeps its index and takes the newer tokens."""
+        i = self.index.setdefault(caption, len(self.captions))
+        if i < len(self.captions):
+            self.pooled[i] = pooled
+            return
+        self.captions.append(caption)
+        self.pooled.append(pooled)
+        for end in range(1, len(caption)):
+            self.extending.setdefault(caption[:end], []).append(i)
+
+    def distances(self, pooled: np.ndarray) -> np.ndarray:
+        """Squared L2 distance from `pooled` to each stored caption's tokens."""
+        if not self.pooled:
+            return np.zeros(0)
+        return ((np.stack(self.pooled) - pooled) ** 2).sum(axis=(1, 2))
+
+    def draft(self, seq: list[int], dist: np.ndarray) -> tuple[int, ...]:
+        """The stored caption longer than `seq` that begins with it and lies
+        nearest by `dist`, the first stored on a tie; () if none does."""
+        ids = self.extending.get(tuple(seq))
+        if ids is None:
+            return ()
+        return self.captions[ids[int(np.argmin(dist[ids]))]]
 
 
 def decode_multimodal(tokens, pooled_v: Tensor, params: ModelParams,
@@ -495,6 +554,16 @@ def check_max_len(max_len: int) -> None:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
 
 
+def _rollback(cache: dict, keep: int) -> None:
+    """Cut a per-image decode cache back to its first `keep` fed positions:
+    the tokens and each self-attention key/value pair. Cross-attention
+    entries stay, as their axis 1 is the pooled image queries."""
+    del cache["tokens"][keep:]
+    for name, kv in cache.items():
+        if name.endswith("/attn"):
+            cache[name] = tuple(Tensor(t.data[:, :keep]) for t in kv)
+
+
 def generate_caption(image, params: ModelParams, cfg: ModelConfig,
                      vocab: tok.Vocabulary, max_len: int = 16,
                      prefixes: PrefixCache | None = None) -> str:
@@ -502,23 +571,42 @@ def generate_caption(image, params: ModelParams, cfg: ModelConfig,
 
     The argmax is restricted to ids the vocabulary actually assigns (the
     logit head is sized for the configured maximum, which a small corpus
-    may not fill). Each step feeds only the newest token; a key/value cache
-    holds the rest of the prefix. Pass one `prefixes` cache to the calls for
-    many images to share their unimodal states; a fresh one is made if none
-    is given."""
+    may not fill). A key/value cache holds the decoded prefix, and each call
+    feeds the newest token plus a draft: the rest of the caption in
+    `prefixes` that extends the tokens so far and whose image tokens are
+    nearest to this image's. The longest draft prefix that matches the
+    per-position argmax is kept, with the argmax after it, and the cache is
+    cut back past the first mismatch, so the caption is the one that
+    one-token greedy steps give. Pass one `prefixes` cache to the calls for
+    many images to share their unimodal states and their captions; a fresh
+    one is made if none is given."""
     check_max_len(max_len)
     valid = min(len(vocab), cfg.vocab_size)
+    end = min(max_len + 1, cfg.max_text_length)   # longest [BOS] + caption
+    if prefixes is None:
+        prefixes = PrefixCache(params)
     with ad.no_grad():
         v = encode_image(image, params, cfg)
         pooled = pool_image(v, params, "gen")
-        seq = [tok.BOS]
-        cache = {} if prefixes is None else {"prefixes": prefixes}
-        for _ in range(max_len):
-            if len(seq) >= cfg.max_text_length:
-                break
-            logits = decode_multimodal(seq[-1:], pooled, params, cfg, cache)
-            nxt = int(np.argmax(logits.data[-1, :valid]))
-            if nxt == tok.EOS:
-                break
-            seq.append(nxt)
+        dist = prefixes.distances(pooled.data)
+        seq, done = [tok.BOS], False
+        cache = {"prefixes": prefixes}
+        while not done and len(seq) < end:
+            n = len(seq)
+            # a draft token at position p is fed only if the argmax after it
+            # may still be taken (p <= end - 2); a trailing EOS is never fed
+            feed = seq[-1:] + [t for t in prefixes.draft(seq, dist)[n:end - 1]
+                               if t != tok.EOS]
+            logits = decode_multimodal(feed, pooled, params, cfg, cache).data
+            for row in range(len(feed)):
+                nxt = int(np.argmax(logits[row, :valid]))
+                done = nxt == tok.EOS
+                if done:
+                    break
+                seq.append(nxt)
+                if row + 1 == len(feed) or feed[row + 1] != nxt:
+                    break
+            if not done and len(seq) < n + len(feed):
+                _rollback(cache, len(seq) - 1)
+        prefixes.remember(tuple(seq) + ((tok.EOS,) if done else ()), pooled.data)
     return tok.decode(seq, vocab)

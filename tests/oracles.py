@@ -11,8 +11,8 @@ from critiq import autodiff as ad
 from critiq import optim
 from critiq import tokenizer as tok
 from critiq import zsl
-from critiq.model import (ModelConfig, ModelParams, _run_unimodal, decode_multimodal,
-                          encode_image, pool_image)
+from critiq.model import (ModelConfig, ModelParams, PrefixCache, _run_unimodal,
+                          decode_multimodal, encode_image, pool_image)
 
 
 def brute_force_ap(scores, labels):
@@ -224,6 +224,28 @@ def uncached_greedy_caption(image, params: ModelParams, cfg: ModelConfig,
             if len(seq) >= cfg.max_text_length:
                 break
             logits = decode_multimodal(seq, pooled, params, cfg)
+            nxt = int(np.argmax(logits.data[-1, :valid]))
+            if nxt == tok.EOS:
+                break
+            seq.append(nxt)
+    return tok.decode(seq, vocab)
+
+
+def stepwise_caption(image, params: ModelParams, cfg: ModelConfig, vocab: tok.Vocabulary,
+                     max_len: int, prefixes: PrefixCache | None = None) -> str:
+    """Greedy captioning with one cached decode call per token and no drafts:
+    each call feeds only the newest token, while a key/value cache and the
+    unimodal rows of `prefixes` (fresh if None) hold the rest of the prefix.
+    The reference for the draft-and-verify decoder."""
+    valid = min(len(vocab), cfg.vocab_size)
+    with ad.no_grad():
+        pooled = pool_image(encode_image(image, params, cfg), params, "gen")
+        seq = [tok.BOS]
+        cache = {"prefixes": prefixes or PrefixCache(params)}
+        for _ in range(max_len):
+            if len(seq) >= cfg.max_text_length:
+                break
+            logits = decode_multimodal(seq[-1:], pooled, params, cfg, cache)
             nxt = int(np.argmax(logits.data[-1, :valid]))
             if nxt == tok.EOS:
                 break

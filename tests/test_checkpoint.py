@@ -1,10 +1,14 @@
 """Checkpoint container: bitwise round trips and corruption diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 
 from critiq import checkpoint as ckpt
 from critiq.model import ModelConfig, ModelParams
+from critiq.tokenizer import Vocabulary
+from critiq.train import load_backbone, vocab_path_for
 
 
 @pytest.fixture
@@ -63,6 +67,52 @@ def test_trailing_bytes_rejected(tensors, tmp_path):
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(ckpt.CheckpointError, match="trailing"):
         ckpt.load(str(path))
+
+
+def test_parsed_tensors_are_read_only_views(tensors, tmp_path):
+    path = str(tmp_path / "t.ckpt")
+    ckpt.save(tensors, path)
+    for loaded in (ckpt.load(path), ckpt.read(path)[0]):
+        for arr in loaded.values():
+            assert not arr.flags.writeable and not arr.flags.owndata
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+
+@pytest.mark.parametrize("cut", [3, 10, 14, 20, 27, 40, -9])
+def test_cut_file_raises_naming_it(tensors, tmp_path, cut):
+    path = tmp_path / "t.ckpt"
+    ckpt.save(tensors, str(path))
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ckpt.CheckpointError, match="^" + re.escape(f"{path}: ")):
+        ckpt.load(str(path))
+
+
+def test_name_that_is_not_utf8_raises_naming_the_file(tensors, tmp_path):
+    path = tmp_path / "t.ckpt"
+    ckpt.save(tensors, str(path))
+    blob = bytearray(path.read_bytes())
+    blob[16] = 0xFF                  # first byte of the first tensor name
+    path.write_bytes(bytes(blob))
+    message = re.escape(f"{path}: tensor name is not UTF-8")
+    with pytest.raises(ckpt.CheckpointError, match="^" + message):
+        ckpt.load(str(path))
+
+
+def test_load_backbone_keeps_owned_writeable_params(tmp_path):
+    cfg = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
+                      encoder_layers=1, unimodal_layers=1, multimodal_layers=1,
+                      mlp_dim=32, generative_pool_queries=2, vocab_size=32,
+                      max_text_length=8)
+    params = ModelParams.initialize(cfg, seed=0)
+    path = str(tmp_path / "model.ckpt")
+    params.save(path, extra={"opt/step": np.array(3.0)})
+    Vocabulary(["good", "light"]).save(vocab_path_for(path))
+    loaded, vocab, _ = load_backbone(path)
+    assert len(vocab) == 7 and loaded.names() == params.names()
+    for name, t in loaded.items():
+        assert t.data.flags.writeable and t.data.flags.owndata, name
+        assert t.data.tobytes() == params[name].data.tobytes()
 
 
 def test_validate_names_flags_unknown_and_mismatched(tmp_path):

@@ -218,3 +218,36 @@ def test_pretrain_with_negative_optimizer_field_exits_two(workspace, capsys, fie
                          "--out", str(out), "--log", str(log)]) == 2
     assert f"{field} must be >= 0, got -1.0" in capsys.readouterr().err
     assert not any(p.exists() for p in (out, log, pathlib.Path(vocab_path_for(str(out)))))
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("steps", "100", "steps must be an integer, got '100'"),
+    ("margin", -0.5, "margin must be >= 0, got -0.5"),
+    ("model.n_heads", 0, "n_heads must be >= 1, got 0"),
+    ("model.max_text_length", "64", "max_text_length must be an integer, got '64'"),
+])
+def test_pretrain_with_bad_config_exits_two_and_writes_nothing(workspace, capsys, field,
+                                                               value, message):
+    root, manifest, _ = workspace
+    cfg = TrainConfig(stage="pretrain", steps=2, batch_size=4, seed=1, model=TINY).to_dict()
+    *outer, name = field.split(".")
+    (cfg[outer[0]] if outer else cfg)[name] = value
+    cfg_path = root / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out, log = root / "bad.ckpt", root / "bad.jsonl"
+    assert cli_dispatch(["pretrain", "--config", str(cfg_path), "--manifest", manifest,
+                         "--out", str(out), "--log", str(log)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(p.exists() for p in (out, log, pathlib.Path(vocab_path_for(str(out)))))
+
+
+def test_pretrain_rejects_a_negative_seed_flag(workspace, capsys):
+    root, manifest, _ = workspace
+    cfg_path = root / "seed.json"
+    TrainConfig(stage="pretrain", steps=2, batch_size=4, seed=1, model=TINY).save(
+        str(cfg_path))
+    out = root / "seed.ckpt"
+    assert cli_dispatch(["pretrain", "--config", str(cfg_path), "--manifest", manifest,
+                         "--out", str(out), "--seed", "-4"]) == 2
+    assert "seed must be >= 0, got -4" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,12 +1,13 @@
 """Run configuration round trips and optimizer mechanics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from critiq.autodiff import Tensor
-from critiq.config import LOSS_WEIGHT_SWEEP, MARGIN_SWEEP, TrainConfig
+from critiq.config import TrainConfig
 from critiq.model import ModelConfig, ModelParams
 from critiq.optim import CHUNK, AdamW, clip_global_norm, linear_decay_lr
 from oracles import PerTensorAdamW, assert_arena_views, per_tensor_global_norm
@@ -45,9 +46,75 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="unknown config fields"):
             TrainConfig.from_dict({"stage": "pretrain", "bogus": 1})
 
-    def test_sweep_grids(self):
-        assert MARGIN_SWEEP == (0.01, 0.05, 0.1, 0.15, 0.2)
-        assert LOSS_WEIGHT_SWEEP == ((2.0, 1.0), (1.0, 1.0), (1.0, 2.0))
+    @pytest.mark.parametrize("field,value,message", [
+        ("steps", -1, "steps must be >= 0, got -1"),
+        ("steps", "100", "steps must be an integer, got '100'"),
+        ("steps", 10.0, "steps must be an integer, got 10.0"),
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("learning_rate", 0.0, "learning_rate must be > 0, got 0.0"),
+        ("learning_rate", float("inf"), "learning_rate must be > 0, got inf"),
+        ("learning_rate", "1e-3", "learning_rate must be a number, got '1e-3'"),
+        ("alpha", -1.0, "got alpha=-1.0, beta=2.0"),
+        ("alpha", None, "alpha must be a number, got None"),
+        ("beta", -2.0, "got alpha=1.0, beta=-2.0"),
+        ("margin", -0.5, "margin must be >= 0, got -0.5"),
+        ("margin", float("nan"), "margin must be >= 0, got nan"),
+        ("use_residual", 1, "use_residual must be true or false, got 1"),
+        ("use_text_anchor", "no", "use_text_anchor must be true or false, got 'no'"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("eval_every", -3, "eval_every must be >= 0, got -3"),
+        ("checkpoint_every", -1, "checkpoint_every must be >= 0, got -1"),
+        ("augment", "yes", "augment must be true or false, got 'yes'"),
+        ("fixed_comment", 0, "fixed_comment must be true or false, got 0"),
+        ("source_size", 0, "source_size must be >= 1, got 0"),
+        ("source_size", 16, "source_size 16 smaller than model image_size 32"),
+        ("model", {"hidden_dim": 64}, "model must be a ModelConfig"),
+    ])
+    def test_bad_field_rejected_naming_it(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**{field: value})
+
+    def test_alpha_and_beta_may_not_both_be_zero(self):
+        with pytest.raises(ValueError, match="positive sum, got alpha=0.0, beta=0.0"):
+            TrainConfig(alpha=0.0, beta=0.0)
+        assert TrainConfig(alpha=0, beta=1.0).alpha == 0
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("image_size", 0, "image_size must be >= 1, got 0"),
+        ("channels", 0, "channels must be >= 1, got 0"),
+        ("patch_size", 0, "patch_size must be >= 1, got 0"),
+        ("hidden_dim", 0, "hidden_dim must be >= 1, got 0"),
+        ("n_heads", 0, "n_heads must be >= 1, got 0"),
+        ("n_heads", 2.0, "n_heads must be an integer, got 2.0"),
+        ("encoder_layers", -1, "encoder_layers must be >= 0, got -1"),
+        ("unimodal_layers", -1, "unimodal_layers must be >= 0, got -1"),
+        ("multimodal_layers", -2, "multimodal_layers must be >= 0, got -2"),
+        ("mlp_dim", 0, "mlp_dim must be >= 1, got 0"),
+        ("generative_pool_queries", 0, "generative_pool_queries must be >= 1, got 0"),
+        ("vocab_size", 3, "vocab_size must be >= 6, got 3"),
+        ("max_text_length", 1, "max_text_length must be >= 3, got 1"),
+        ("max_text_length", "64", "max_text_length must be an integer, got '64'"),
+    ])
+    def test_bad_model_field_rejected_naming_it(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModelConfig(**{field: value})
+
+    def test_model_dict_with_missing_or_unknown_fields_rejected(self):
+        d = ModelConfig().to_dict()
+        del d["n_heads"]
+        with pytest.raises(ValueError, match=re.escape("missing: ['n_heads'], unknown: []")):
+            TrainConfig.from_dict({"model": d})
+        d.update(n_heads=4, n_head=4)
+        with pytest.raises(ValueError, match=re.escape("missing: [], unknown: ['n_head']")):
+            TrainConfig.from_dict({"model": d})
+
+    def test_smallest_model_accepted(self):
+        cfg = ModelConfig(image_size=1, channels=1, patch_size=1, hidden_dim=1, n_heads=1,
+                          encoder_layers=0, unimodal_layers=0, multimodal_layers=0,
+                          mlp_dim=1, generative_pool_queries=1, vocab_size=6,
+                          max_text_length=3)
+        assert cfg.num_patches == 1
 
     def test_default_training_knobs(self):
         cfg = TrainConfig()

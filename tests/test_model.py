@@ -18,7 +18,8 @@ from critiq.model import (ModelConfig, ModelParams, PrefixCache, attentional_poo
 from critiq.synth import SynthSpec, generate_synthetic_corpus
 from critiq.train import caption_images, center_crop
 from critiq.zsl import embed_prompt
-from oracles import encode_text_unimodal, uncached_greedy_caption, unfused_pool
+from oracles import (encode_text_unimodal, stepwise_caption, uncached_greedy_caption,
+                     unfused_pool)
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
                    encoder_layers=1, unimodal_layers=1, multimodal_layers=1,
@@ -436,21 +437,21 @@ class TestPrefixCache:
 
     @staticmethod
     def recorded(monkeypatch):
-        """Wrap the decoder the caption loop calls: per image, the logits of
-        each step and the token prefix each step fed."""
-        steps: list[tuple[tuple[int, ...], bytes]] = []
-        fed: dict[int, tuple[dict, list[int]]] = {}   # holds each cache, so ids stay unique
+        """Wrap the decoder the caption loop calls. Per call it records the
+        cache (held, so ids stay unique), the tokens the cache then holds, the
+        count fed by the call, the logits, the pooled tokens and how many
+        captions the shared prefix cache held."""
+        calls: list[tuple[dict, tuple[int, ...], int, np.ndarray, Tensor, int]] = []
         inner = model.decode_multimodal
 
         def wrapper(tokens, pooled, params, cfg, cache=None):
-            seq = fed.setdefault(id(cache), (cache, []))[1]
-            seq.extend(tokens)
             out = inner(tokens, pooled, params, cfg, cache)
-            steps.append((tuple(seq), out.data.tobytes()))
+            calls.append((cache, tuple(cache["tokens"]), len(tokens), out.data.copy(),
+                          pooled, len(cache["prefixes"].captions)))
             return out
 
         monkeypatch.setattr(model, "decode_multimodal", wrapper)
-        return steps
+        return calls
 
     @pytest.mark.parametrize("max_len", [4, 16])
     def test_shared_captions_equal_fresh_and_uncached(self, corpus, max_len):
@@ -466,31 +467,60 @@ class TestPrefixCache:
         # the whole prefix would hand one caption another's states
         assert len(set(shared)) >= 6
 
-    def test_step_logits_bytewise_equal_to_per_image_caches(self, corpus, monkeypatch):
+    def test_decode_logits_match_full_prefix_runs(self, corpus, monkeypatch):
+        """Under drafting, each position a call feeds gives the logits of a
+        full-prefix run, and the tokens the cache held before the call are
+        the start of the image's caption: rejected drafts leave nothing."""
         params = deep_params(34)
         vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
-        steps = self.recorded(monkeypatch)
-        images = self.crops(corpus)
+        calls = self.recorded(monkeypatch)
         prefixes = PrefixCache(params)
-        for img in images:
+        finished = []
+        prefixes.remember = lambda caption, pooled: (
+            finished.append(caption), PrefixCache.remember(prefixes, caption, pooled))
+        captions = {}
+        for img in self.crops(corpus):
             generate_caption(img, params, DEEP, vocab, 16, prefixes)
-        shared = list(steps)
-        steps.clear()
-        for img in images:
-            generate_caption(img, params, DEEP, vocab, 16)
-        assert len(shared) > len(images)
-        assert shared == steps
+            captions[id(calls[-1][0])] = list(finished[-1])
+        assert max(n for _, _, n, _, _, _ in calls) > 1
+        rolled = 0
+        with ad.no_grad():
+            for i, (cache, fed, n, logits, pooled, _) in enumerate(calls):
+                start = len(fed) - n
+                assert list(fed[:start]) == captions[id(cache)][:start]
+                full = decode_multimodal(list(fed), pooled, params, DEEP).data
+                np.testing.assert_allclose(logits, full[start:], rtol=0, atol=1e-5)
+                nxt = calls[i + 1] if i + 1 < len(calls) else None
+                rolled += nxt is not None and nxt[0] is cache and \
+                    len(nxt[1]) - nxt[2] < len(fed)
+        assert rolled > 0
+
+    def test_every_draft_continues_a_stored_caption(self, corpus, monkeypatch):
+        params = deep_params(34)
+        vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
+        calls = self.recorded(monkeypatch)
+        prefixes = PrefixCache(params)
+        for img in self.crops(corpus):
+            generate_caption(img, params, DEEP, vocab, 16, prefixes)
+        drafted = 0
+        for _, fed, n, _, _, stored in calls:
+            if n > 1:
+                drafted += 1
+                assert any(c[:len(fed)] == fed and len(c) > len(fed)
+                           for c in prefixes.captions[:stored])
+        assert drafted > 0
 
     def test_one_row_per_distinct_prefix(self, corpus, monkeypatch):
         params = deep_params(34)
         vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
-        steps = self.recorded(monkeypatch)
+        calls = self.recorded(monkeypatch)
         prefixes = PrefixCache(params)
         for img in self.crops(corpus):
             generate_caption(img, params, DEEP, vocab, 16, prefixes)
-        distinct = {prefix for prefix, _ in steps}
-        assert len(distinct) < len(steps)          # some steps were hits
-        assert set(prefixes.rows) == distinct
+        fed = [f[:end] for _, f, n, _, _, _ in calls for end in range(len(f) - n + 1,
+                                                                      len(f) + 1)]
+        assert len(set(fed)) < len(fed)          # some positions were hits
+        assert set(prefixes.rows) == set(fed)
 
     def test_rows_owned_and_from_full_prefix_runs(self, corpus):
         params = deep_params(34)
@@ -517,6 +547,96 @@ class TestPrefixCache:
         copy = ModelParams(dict(params.items()), DEEP)
         with pytest.raises(ValueError, match="other ModelParams"):
             generate_caption(img, copy, DEEP, vocab, 4, prefixes)
+
+
+class TestDraftDecoding:
+    """Draft-and-verify greedy captions: each call checks the rest of the
+    nearest earlier caption that extends the decoded tokens, and the output
+    is the one-token greedy loop's."""
+
+    corpus = TestPrefixCache.corpus
+    crops = staticmethod(TestPrefixCache.crops)
+    recorded = staticmethod(TestPrefixCache.recorded)
+
+    @pytest.mark.parametrize("max_len", [4, 16])
+    @pytest.mark.parametrize("order", ["record", "reversed"])
+    def test_captions_equal_oracles_in_both_orders(self, corpus, max_len, order):
+        params = deep_params(34)
+        vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
+        records = corpus[0] if order == "record" else corpus[0][::-1]
+        drafted = caption_images(params, vocab, records, corpus[1], max_len)
+        images = self.crops((records, corpus[1]))
+        oracle = PrefixCache(params)
+        stepwise = [stepwise_caption(img, params, DEEP, vocab, max_len, oracle)
+                    for img in images]
+        fresh = [generate_caption(img, params, DEEP, vocab, max_len) for img in images]
+        uncached = [uncached_greedy_caption(img, params, DEEP, vocab, max_len)
+                    for img in images]
+        assert drafted == stepwise == fresh == uncached
+        assert len(set(drafted)) >= 6
+
+    @pytest.mark.parametrize("max_len", [4, 16])
+    def test_calls_stay_inside_max_len_and_text_length(self, corpus, monkeypatch, max_len):
+        params = deep_params(34)
+        vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
+        images = self.crops(corpus)
+        prefixes = PrefixCache(params)
+        for img in images:                                          # long drafts
+            generate_caption(img, params, DEEP, vocab, 16, prefixes)
+        calls = self.recorded(monkeypatch)
+        got = [generate_caption(img, params, DEEP, vocab, max_len, prefixes)
+               for img in images]
+        end = min(max_len + 1, DEEP.max_text_length)
+        assert max(len(fed) for _, fed, _, _, _, _ in calls) <= end - 1
+        assert all(len(cap.split()) <= max_len for cap in got)
+        assert got == [stepwise_caption(img, params, DEEP, vocab, max_len)
+                       for img in images]
+
+    def test_fresh_cache_feeds_one_position_per_call(self, corpus, monkeypatch):
+        params = deep_params(34)
+        vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
+        calls = self.recorded(monkeypatch)
+        for img in self.crops(corpus)[:4]:
+            generate_caption(img, params, DEEP, vocab, 16)
+        assert calls and all(n == 1 for _, _, n, _, _, _ in calls)
+
+    def test_repeated_image_decodes_in_one_call(self, corpus, monkeypatch):
+        # its own caption, stored with its own tokens, is the nearest draft
+        params = deep_params(34)
+        vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
+        calls = self.recorded(monkeypatch)
+        prefixes = PrefixCache(params)
+        for img in self.crops(corpus):
+            first = generate_caption(img, params, DEEP, vocab, 16, prefixes)
+            before = len(calls)
+            assert generate_caption(img, params, DEEP, vocab, 16, prefixes) == first
+            assert len(calls) == before + 1
+
+    def test_draft_is_the_nearest_caption_extending_the_prefix(self):
+        prefixes = PrefixCache(deep_params(34))
+        far, near, mid = (np.full((3, 2), x, dtype=np.float32) for x in (5.0, 0.0, 1.0))
+        prefixes.remember((1, 7, 8, 2), far)
+        prefixes.remember((1, 7, 9), near)
+        prefixes.remember((1, 6, 2), mid)
+        prefixes.remember((1, 7, 8, 5, 2), near)     # ties (1, 7, 9) on distance
+        dist = prefixes.distances(np.zeros((3, 2), dtype=np.float32))
+        np.testing.assert_array_equal(dist, [150.0, 0.0, 6.0, 0.0])
+        assert prefixes.draft([1], dist) == (1, 7, 9)           # stored first on the tie
+        assert prefixes.draft([1, 7, 8], dist) == (1, 7, 8, 5, 2)
+        assert prefixes.draft([1, 6], dist) == (1, 6, 2)
+        assert prefixes.draft([1, 7, 9], dist) == ()            # no longer caption
+        assert prefixes.draft([1, 5], dist) == ()
+        assert PrefixCache(prefixes.params).draft([1], np.zeros(0)) == ()
+
+    def test_caption_stored_once_with_its_newest_image(self):
+        prefixes = PrefixCache(deep_params(34))
+        a, b = np.zeros((3, 2)), np.ones((3, 2))
+        prefixes.remember((1, 7, 2), a)
+        prefixes.remember((1, 8, 2), a)
+        prefixes.remember((1, 7, 2), b)
+        assert prefixes.captions == [(1, 7, 2), (1, 8, 2)]
+        assert prefixes.pooled[0] is b and prefixes.pooled[1] is a
+        assert prefixes.extending[(1,)] == [0, 1]
 
 
 class TestGenerateCaption:

@@ -56,11 +56,15 @@ def test_every_site_traced_through_evaluate(backbone):
     assert names.count("zsl.zsl_style_scores") == 1
     assert names.count("zsl.zsl_iaa_single") == 0
     assert names.count("imageio.read_image") == 2 * n
-    # the key/value cache feeds one position per decode step, [BOS] included
-    decodes = [s for i, s in enumerate(tracer.spans) if s.name == "model.decode_multimodal"
+    # each decode call feeds the newest token and maybe a draft after it, and
+    # takes at least one token or the end of the caption
+    decodes = [i for i, s in enumerate(tracer.spans) if s.name == "model.decode_multimodal"
                and parents[i] == "model.generate_caption"]
     assert len(decodes) >= n
-    assert all(s.attrs["positions"] == 1 for s in decodes)
+    assert all(tracer.spans[i].attrs["positions"] >= 1 for i in decodes)
+    for c in captions:
+        calls = sum(tracer.spans[i].parent == c for i in decodes)
+        assert 1 <= calls <= tracer.spans[c].attrs["tokens"] + 1
 
 
 def test_each_pretraining_step_yields_one_span_per_phase(tmp_path):

@@ -21,15 +21,15 @@ from critiq.cli import cli_dispatch
 from critiq.config import TrainConfig
 from critiq.data import Batch, load_manifest, record_image_path, save_manifest
 from critiq.imageio import read_image
-from critiq.model import ModelConfig, ModelParams, generate_caption
+from critiq.model import ModelConfig, ModelParams, PrefixCache, generate_caption
 from critiq.optim import AdamW
 from critiq.prompts import PromptBank
 from critiq.synth import SynthSpec, generate_synthetic_corpus
-from critiq.train import (RunLog as RunLogBytes, adapter_finetune, center_crop,
-                          embed_images, evaluate, export_prompt_cache, load_adapter,
+from critiq.train import (RunLog as RunLogBytes, adapter_finetune, caption_images,
+                          center_crop, embed_images, evaluate, export_prompt_cache, load_adapter,
                           pretrain, pretrain_step_loss, vocab_path_for, zsl_score_lines)
 from oracles import (assert_arena_views, assert_match_scalar_oracle, sha256_file,
-                     uncached_greedy_caption)
+                     stepwise_caption, uncached_greedy_caption)
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
                    encoder_layers=1, unimodal_layers=1, multimodal_layers=1,
@@ -438,6 +438,20 @@ class TestEvaluate:
         fresh = [generate_caption(img, params, TINY, vocab) for img in images]
         uncached = [uncached_greedy_caption(img, params, TINY, vocab, 16) for img in images]
         assert results["caption"]["captions"] == fresh == uncached
+
+    @pytest.mark.parametrize("order", ["record", "reversed"])
+    def test_drafted_captions_equal_stepwise_decoding(self, trained, corpus, order):
+        _, params, _, vocab = trained
+        records = load_manifest(corpus)
+        records = records if order == "record" else records[::-1]
+        drafted = caption_images(params, vocab, records, corpus, 16)
+        images = [center_crop(read_image(record_image_path(r, corpus)), TINY.image_size)
+                  for r in records]
+        oracle = PrefixCache(params)
+        assert drafted == [stepwise_caption(img, params, TINY, vocab, 16, oracle)
+                           for img in images]
+        assert drafted == [uncached_greedy_caption(img, params, TINY, vocab, 16)
+                           for img in images]
 
     def test_zsl_score_lines_rejects_unknown_mode_before_loading(self, tmp_path, corpus):
         missing = str(tmp_path / "missing.ckpt")

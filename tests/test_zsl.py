@@ -336,6 +336,8 @@ class TestPromptEmbeddingPipeline:
         assert set(back) == set(table)
         for k in table:
             assert back[k].tobytes() == table[k].tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            back[k] *= 2                 # views of the file bytes
         with pytest.raises(ckpt.CheckpointError, match="different"):
             zsl.load_prompt_cache(path, b"\x02" * 32)
 
