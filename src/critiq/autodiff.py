@@ -223,18 +223,37 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Tanh-approximation GELU."""
+    """Tanh-approximation GELU, 0.5 x (1 + tanh(C (x + 0.044715 x^3))).
+
+    Built in place, in the formula's operand order: IEEE sums and products
+    commute, so every element rounds as the written expression does."""
     x = a.data
     # Products, not `**`: a float32 power goes through pow and costs ~100x more.
-    inner = _GELU_C * (x + 0.044715 * x * x * x)
-    t = np.tanh(inner)
-    out_data = (0.5 * x * (1.0 + t)).astype(a.dtype)
+    t = 0.044715 * x
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out_data = 0.5 * x
+    out_data *= 1.0 + t
 
     def backward_fn(g):
-        sech2 = 1.0 - t * t
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        grad = 0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner
-        _accumulate(a, g * grad)
+        # 0.5 (1 + t) + 0.5 x (1 - t t) C (1 + 3 * 0.044715 x x), times g
+        d_inner = (3 * 0.044715) * x
+        d_inner *= x
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        sech2 = t * t
+        np.subtract(1.0, sech2, out=sech2)
+        grad = 0.5 * x
+        grad *= sech2
+        grad *= d_inner
+        half = 1.0 + t
+        half *= 0.5
+        grad += half
+        grad *= g
+        _accumulate(a, grad)
 
     return _make(out_data, (a,), backward_fn)
 

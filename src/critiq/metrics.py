@@ -190,26 +190,43 @@ def cider_scores(eval_set) -> np.ndarray:
     if n_images == 1:
         warnings.warn("cider: single-image corpus has a degenerate IDF")
     max_n = 4
+    # Sentences repeat (comments within a corpus, captions across images), so
+    # each distinct one is counted, and later vectorized, once.
+    counted: dict[tuple[str, ...], list[dict[tuple[str, ...], int]]] = {}
+    vectors: dict[tuple[str, ...], list[tuple[dict, float]]] = {}
+
+    def grams(tokens: list[str]) -> list[dict[tuple[str, ...], int]]:
+        key = tuple(tokens)
+        if key not in counted:
+            counted[key] = [_ngram_counts(tokens, k) for k in range(1, max_n + 1)]
+        return counted[key]
+
     dfs: list[dict[tuple[str, ...], int]] = [{} for _ in range(max_n)]
     for _, refs in pairs:
-        for k in range(1, max_n + 1):
+        ref_grams = [grams(ref) for ref in refs]
+        for k in range(max_n):
             seen: set[tuple[str, ...]] = set()
-            for ref in refs:
-                seen.update(_ngram_counts(ref, k))
+            for counts in ref_grams:
+                seen.update(counts[k])
             for g in seen:
-                dfs[k - 1][g] = dfs[k - 1].get(g, 0) + 1
+                dfs[k][g] = dfs[k].get(g, 0) + 1
 
-    def tfidf(tokens: list[str], k: int) -> dict[tuple[str, ...], float]:
+    def tfidf(counts: dict[tuple[str, ...], int], k: int) -> tuple[dict, float]:
+        """An n-gram count's TF-IDF vector (order k + 1) and its L2 norm."""
         vec = {}
-        for g, c in _ngram_counts(tokens, k).items():
-            df = dfs[k - 1].get(g, 0)
+        for g, c in counts.items():
+            df = dfs[k].get(g, 0)
             if df > 0:
                 vec[g] = c * math.log(n_images / df)
-        return vec
+        return vec, math.sqrt(math.fsum(x * x for x in vec.values()))
 
-    def cosine(u: dict, w: dict) -> float:
-        nu = math.sqrt(math.fsum(x * x for x in u.values()))
-        nw = math.sqrt(math.fsum(x * x for x in w.values()))
+    def vector(tokens: list[str]) -> list[tuple[dict, float]]:
+        key = tuple(tokens)
+        if key not in vectors:
+            vectors[key] = [tfidf(counts, k) for k, counts in enumerate(grams(tokens))]
+        return vectors[key]
+
+    def cosine(u: dict, nu: float, w: dict, nw: float) -> float:
         if nu == 0.0 or nw == 0.0:
             return 0.0
         if u == w:
@@ -219,11 +236,10 @@ def cider_scores(eval_set) -> np.ndarray:
 
     out = np.zeros(n_images, dtype=np.float64)
     for i, (cand, refs) in enumerate(pairs):
-        per_n = []
-        for k in range(1, max_n + 1):
-            cv = tfidf(cand, k)
-            sims = [cosine(cv, tfidf(r, k)) for r in refs]
-            per_n.append(math.fsum(sims) / len(sims))
+        cv = vector(cand)
+        rvs = [vector(ref) for ref in refs]
+        per_n = [math.fsum(cosine(*cv[k], *rv[k]) for rv in rvs) / len(rvs)
+                 for k in range(max_n)]
         out[i] = 10.0 * math.fsum(per_n) / max_n
     return out
 

@@ -6,8 +6,8 @@ caption decoder), a causally-masked unimodal text decoder whose final CLS
 output is the contrastive text embedding, and a multimodal decoder that
 cross-attends to pooled image tokens to produce caption logits.
 
-All forward functions accept a leading batch axis; the single-sample forms
-add and strip it. Transformer blocks are pre-LN with GELU MLPs and learned
+The image-side forward functions take a leading batch axis; the decoder also
+takes one sequence. Transformer blocks are pre-LN with GELU MLPs and learned
 absolute positional embeddings.
 """
 
@@ -270,22 +270,18 @@ class ModelParams:
 def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
     """Split into non-overlapping patches, row-major (left-to-right, top-to-bottom).
 
-    (H, W, C) -> (K, P*P*C); a leading batch axis is carried through.
-    Each output row is one patch flattened in (y, x, channel) order.
+    (N, H, W, C) -> (N, K, P*P*C). Each output row is one patch flattened in
+    (y, x, channel) order.
     """
     images = np.asarray(images)
-    single = images.ndim == 3
-    if single:
-        images = images[None]
     if images.ndim != 4:
-        raise ad.ShapeError(f"patchify: expected (H, W, C) or (N, H, W, C), got {images.shape}")
+        raise ad.ShapeError(f"patchify: expected (N, H, W, C), got {images.shape}")
     n, h, w, c = images.shape
     p = patch_size
     if h % p != 0 or w % p != 0:
         raise ad.ShapeError(f"patchify: image {h}x{w} not divisible by patch size {p}")
     patches = images.reshape(n, h // p, p, w // p, p, c)
-    patches = patches.transpose(0, 1, 3, 2, 4, 5).reshape(n, (h // p) * (w // p), p * p * c)
-    return patches[0] if single else patches
+    return patches.transpose(0, 1, 3, 2, 4, 5).reshape(n, (h // p) * (w // p), p * p * c)
 
 
 def _linear(x: Tensor, params: ModelParams, w: str, b: str) -> Tensor:
@@ -341,34 +337,27 @@ def _causal_mask(l: int, start: int) -> np.ndarray | None:
 
 
 def encode_image(images, params: ModelParams, cfg: ModelConfig) -> Tensor:
-    """Image(s) -> visual token embeddings, (K, D) or (N, K, D)."""
+    """Images (N, H, W, C) -> visual token embeddings (N, K, D)."""
     images = np.asarray(images, dtype=np.float32)
-    single = images.ndim == 3
     expected = (cfg.image_size, cfg.image_size, cfg.channels)
-    if (images.shape if single else images.shape[1:]) != expected:
-        raise ad.ShapeError(f"encode_image: expected image shape {expected}, "
+    if images.ndim != 4 or images.shape[1:] != expected:
+        raise ad.ShapeError(f"encode_image: expected images of shape (N,) + {expected}, "
                             f"got {images.shape}")
-    flat = patchify(images if not single else images[None], cfg.patch_size)
-    x = Tensor(flat.astype(np.float32))
+    x = Tensor(patchify(images, cfg.patch_size).astype(np.float32))
     x = _linear(x, params, "patch_proj/w", "patch_proj/b")
     x = ad.add(x, params["pos/image"])
     for i in range(cfg.encoder_layers):
         x = _block(x, params, f"enc/{i}", cfg.n_heads)
-    x = ad.layer_norm(x, params["enc/ln_f/g"], params["enc/ln_f/b"])
-    return ad.index(x, 0) if single else x
+    return ad.layer_norm(x, params["enc/ln_f/g"], params["enc/ln_f/b"])
 
 
 def attentional_pool(v: Tensor, queries: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     """Learned-query attention pooling: each query row is a softmax-weighted
     combination of value-projected rows of `v`, by one-head attention.
 
-    v: (K, D) or (N, K, D); queries: (n_q, D). Output matches v's batching.
+    v: (N, K, D); queries: (n_q, D). Returns (N, n_q, D).
     """
-    single = v.data.ndim == 2
-    if single:
-        v = ad.reshape(v, (1,) + v.shape)
-    pooled = ad.attention(queries, ad.matmul(v, wk), ad.matmul(v, wv), 1)
-    return ad.index(pooled, 0) if single else pooled
+    return ad.attention(queries, ad.matmul(v, wk), ad.matmul(v, wv), 1)
 
 
 def pool_image(v: Tensor, params: ModelParams, which: str) -> Tensor:
@@ -432,17 +421,18 @@ class PrefixCache:
     prefix's last position is the same for every image: one cache shared by
     the captions of a run keeps that (D,) row per distinct prefix, and a miss
     runs the stack once over the whole prefix. It also keeps each distinct
-    finished caption ([BOS] + words, + EOS if the model ended it) with the
-    pooled generative image tokens of the last image that gave it; later
-    images draft from them (see `generate_caption`). The params must not
-    change while the cache is in use."""
+    finished caption ([BOS] + words, + EOS if the model ended it) with a copy
+    of the pooled generative image tokens of the last image that gave it;
+    later images draft from them (see `generate_caption`). The params must
+    not change while the cache is in use."""
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.rows: dict[tuple[int, ...], np.ndarray] = {}
         self.captions: list[tuple[int, ...]] = []        # in the order first stored
-        self.pooled: list[np.ndarray] = []               # (n_q, D), one per caption
-        self.index: dict[tuple[int, ...], int] = {}      # caption -> its place in both
+        # (capacity, n_q, D), doubled when full; row i holds caption i's tokens
+        self.pooled: np.ndarray | None = None
+        self.index: dict[tuple[int, ...], int] = {}      # caption -> its row in both
         self.extending: dict[tuple[int, ...], list[int]] = {}  # prefix -> longer captions
 
     def outputs(self, seq: list[int], start: int, params: ModelParams,
@@ -462,22 +452,26 @@ class PrefixCache:
         return Tensor(np.stack(out)[None])
 
     def remember(self, caption: tuple[int, ...], pooled: np.ndarray) -> None:
-        """Store a finished caption with the pooled image tokens that gave it;
-        a caption stored before keeps its index and takes the newer tokens."""
+        """Store a finished caption with a copy of the pooled image tokens that
+        gave it; a caption stored before keeps its index and takes the newer
+        tokens."""
         i = self.index.setdefault(caption, len(self.captions))
-        if i < len(self.captions):
-            self.pooled[i] = pooled
-            return
-        self.captions.append(caption)
-        self.pooled.append(pooled)
-        for end in range(1, len(caption)):
-            self.extending.setdefault(caption[:end], []).append(i)
+        if i == len(self.captions):
+            self.captions.append(caption)
+            for end in range(1, len(caption)):
+                self.extending.setdefault(caption[:end], []).append(i)
+            if self.pooled is None or i == len(self.pooled):
+                grown = np.empty((max(1, 2 * i),) + pooled.shape, dtype=pooled.dtype)
+                if i:
+                    grown[:i] = self.pooled
+                self.pooled = grown
+        self.pooled[i] = pooled
 
     def distances(self, pooled: np.ndarray) -> np.ndarray:
         """Squared L2 distance from `pooled` to each stored caption's tokens."""
-        if not self.pooled:
+        if not self.captions:
             return np.zeros(0)
-        return ((np.stack(self.pooled) - pooled) ** 2).sum(axis=(1, 2))
+        return ((self.pooled[:len(self.captions)] - pooled) ** 2).sum(axis=(1, 2))
 
     def draft(self, seq: list[int], dist: np.ndarray) -> tuple[int, ...]:
         """The stored caption longer than `seq` that begins with it and lies
@@ -564,10 +558,12 @@ def _rollback(cache: dict, keep: int) -> None:
             cache[name] = tuple(Tensor(t.data[:, :keep]) for t in kv)
 
 
-def generate_caption(image, params: ModelParams, cfg: ModelConfig,
+def generate_caption(pooled, params: ModelParams, cfg: ModelConfig,
                      vocab: tok.Vocabulary, max_len: int = 16,
                      prefixes: PrefixCache | None = None) -> str:
-    """Greedy autoregressive decoding from BOS until EOS or max_len tokens.
+    """Greedy autoregressive decoding from BOS until EOS or max_len tokens, for
+    one image given by its pooled generative tokens (n_q, D): a row of
+    `pool_image(encode_image(images, ...), ..., "gen")`.
 
     The argmax is restricted to ids the vocabulary actually assigns (the
     logit head is sized for the configured maximum, which a small corpus
@@ -581,14 +577,18 @@ def generate_caption(image, params: ModelParams, cfg: ModelConfig,
     many images to share their unimodal states and their captions; a fresh
     one is made if none is given."""
     check_max_len(max_len)
+    pooled = np.asarray(pooled)
+    if pooled.shape != (cfg.generative_pool_queries, cfg.hidden_dim):
+        raise ad.ShapeError(f"generate_caption: expected pooled generative tokens of shape "
+                            f"{(cfg.generative_pool_queries, cfg.hidden_dim)}, "
+                            f"got {pooled.shape}")
     valid = min(len(vocab), cfg.vocab_size)
     end = min(max_len + 1, cfg.max_text_length)   # longest [BOS] + caption
     if prefixes is None:
         prefixes = PrefixCache(params)
+    memory = Tensor(pooled)
     with ad.no_grad():
-        v = encode_image(image, params, cfg)
-        pooled = pool_image(v, params, "gen")
-        dist = prefixes.distances(pooled.data)
+        dist = prefixes.distances(pooled)
         seq, done = [tok.BOS], False
         cache = {"prefixes": prefixes}
         while not done and len(seq) < end:
@@ -597,7 +597,7 @@ def generate_caption(image, params: ModelParams, cfg: ModelConfig,
             # may still be taken (p <= end - 2); a trailing EOS is never fed
             feed = seq[-1:] + [t for t in prefixes.draft(seq, dist)[n:end - 1]
                                if t != tok.EOS]
-            logits = decode_multimodal(feed, pooled, params, cfg, cache).data
+            logits = decode_multimodal(feed, memory, params, cfg, cache).data
             for row in range(len(feed)):
                 nxt = int(np.argmax(logits[row, :valid]))
                 done = nxt == tok.EOS
@@ -608,5 +608,5 @@ def generate_caption(image, params: ModelParams, cfg: ModelConfig,
                     break
             if not done and len(seq) < n + len(feed):
                 _rollback(cache, len(seq) - 1)
-        prefixes.remember(tuple(seq) + ((tok.EOS,) if done else ()), pooled.data)
+        prefixes.remember(tuple(seq) + ((tok.EOS,) if done else ()), pooled)
     return tok.decode(seq, vocab)

@@ -220,18 +220,22 @@ def _zsl_snapshot(params, vocab, records, manifest_path) -> dict:
 # stage two: adapter finetuning on frozen embeddings
 # ---------------------------------------------------------------------------
 
+def _crop_chunks(records: list[ManifestRecord], manifest_path: str, size: int):
+    """The records' center crops in record order, EMBED_CHUNK images at a time:
+    (index of the chunk's first record, (n, size, size, C) images)."""
+    for start in range(0, len(records), EMBED_CHUNK):
+        yield start, np.stack([
+            center_crop(read_image(record_image_path(r, manifest_path)), size)
+            for r in records[start:start + EMBED_CHUNK]])
+
+
 def embed_images(params: ModelParams, cfg: ModelConfig, records: list[ManifestRecord],
                  manifest_path: str) -> np.ndarray:
     """Frozen, unnormalized contrastive image embeddings via center crops."""
     out = np.zeros((len(records), cfg.hidden_dim), dtype=np.float32)
     with ad.no_grad():
-        for start in range(0, len(records), EMBED_CHUNK):
-            part = records[start:start + EMBED_CHUNK]
-            images = np.stack([
-                center_crop(read_image(record_image_path(r, manifest_path)),
-                            cfg.image_size)
-                for r in part])
-            out[start:start + len(part)] = image_embedding_batch(images, params, cfg).data
+        for start, images in _crop_chunks(records, manifest_path, cfg.image_size):
+            out[start:start + len(images)] = image_embedding_batch(images, params, cfg).data
     return out
 
 
@@ -369,15 +373,19 @@ def caption_images(params: ModelParams, vocab: tok.Vocabulary,
                    records: list[ManifestRecord], manifest_path: str,
                    max_len: int) -> list[str]:
     """Greedy caption of each record's center crop, in record order. The
-    captions share one prefix cache, so the text-only stack runs once per
+    image encoder and the generative pooler run once per chunk of crops, and
+    the captions share one prefix cache, so the text-only stack runs once per
     distinct token prefix."""
     check_max_len(max_len)
     cfg = params.config
     prefixes = PrefixCache(params)
-    return [generate_caption(center_crop(read_image(record_image_path(r, manifest_path)),
-                                         cfg.image_size),
-                             params, cfg, vocab, max_len=max_len, prefixes=prefixes)
-            for r in records]
+    captions = []
+    for _, images in _crop_chunks(records, manifest_path, cfg.image_size):
+        with ad.no_grad():
+            pooled = pool_image(encode_image(images, params, cfg), params, "gen").data
+        captions += [generate_caption(row, params, cfg, vocab, max_len=max_len,
+                                      prefixes=prefixes) for row in pooled]
+    return captions
 
 
 def evaluate(backbone_path: str, manifest_path: str, tasks,

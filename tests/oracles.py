@@ -212,13 +212,21 @@ def encode_text_unimodal(tokens: list[int], params: ModelParams,
     return ad.index(_run_unimodal(ids, params, cfg), 0)
 
 
+def gen_tokens(image, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
+    """One (H, W, C) image's pooled generative tokens (n_q, D), encoded as a
+    batch of one: the reference for tokens pooled from a chunk of images."""
+    with ad.no_grad():
+        images = np.asarray(image)[None]
+        return pool_image(encode_image(images, params, cfg), params, "gen").data[0]
+
+
 def uncached_greedy_caption(image, params: ModelParams, cfg: ModelConfig,
                             vocab: tok.Vocabulary, max_len: int) -> str:
     """Greedy captioning that decodes the whole prefix afresh at every step,
     with no cache of any kind: the reference for the cached decoder."""
     valid = min(len(vocab), cfg.vocab_size)
+    pooled = ad.Tensor(gen_tokens(image, params, cfg))
     with ad.no_grad():
-        pooled = pool_image(encode_image(image, params, cfg), params, "gen")
         seq = [tok.BOS]
         for _ in range(max_len):
             if len(seq) >= cfg.max_text_length:
@@ -238,8 +246,8 @@ def stepwise_caption(image, params: ModelParams, cfg: ModelConfig, vocab: tok.Vo
     unimodal rows of `prefixes` (fresh if None) hold the rest of the prefix.
     The reference for the draft-and-verify decoder."""
     valid = min(len(vocab), cfg.vocab_size)
+    pooled = ad.Tensor(gen_tokens(image, params, cfg))
     with ad.no_grad():
-        pooled = pool_image(encode_image(image, params, cfg), params, "gen")
         seq = [tok.BOS]
         cache = {"prefixes": prefixes or PrefixCache(params)}
         for _ in range(max_len):
@@ -347,6 +355,18 @@ def softmax(a: ad.Tensor, axis: int = -1) -> ad.Tensor:
     return ad._make(p, (a,), backward_fn)
 
 
+def formula_gelu(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh GELU and its input gradient for an upstream gradient `g`, each
+    written as one expression with a temporary per operation: the reference
+    that the in-place `ad.gelu` must match byte for byte."""
+    c = 0.7978845608028654  # sqrt(2/pi)
+    t = np.tanh(c * (x + 0.044715 * x * x * x))
+    out = (0.5 * x * (1.0 + t)).astype(x.dtype)
+    sech2 = 1.0 - t * t
+    d_inner = c * (1.0 + 3 * 0.044715 * x * x)
+    return out, g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner)
+
+
 def unfused_pool(v: ad.Tensor, queries: ad.Tensor, wk: ad.Tensor,
                  wv: ad.Tensor) -> ad.Tensor:
     """Attentional pooling of (N, K, D) tokens as the seven-node chain that
@@ -424,6 +444,58 @@ def recounting_bleu_n(candidate, references, n: int) -> float:
     r_len = min((abs(len(r) - c_len), len(r)) for r in refs)[1]
     bp = min(1.0, math.exp(1.0 - r_len / c_len))
     return bp * math.exp(sum(log_precisions) / n)
+
+
+def recounting_cider_scores(pairs) -> np.ndarray:
+    """Per-image CIDEr that counts every reference's n-grams twice, once for
+    the document frequencies and again for its vector, and rebuilds each
+    candidate's vector and norm for every image: the reference for the
+    count-once, memoized `metrics.cider_scores`, which must match it byte for
+    byte."""
+    def counts(tokens, k):
+        out = {}
+        for i in range(len(tokens) - k + 1):
+            g = tuple(tokens[i:i + k])
+            out[g] = out.get(g, 0) + 1
+        return out
+
+    pairs = [(c.split(), [r.split() for r in refs]) for c, refs in pairs]
+    n_images = len(pairs)
+    dfs = [{} for _ in range(4)]
+    for _, refs in pairs:
+        for k in range(1, 5):
+            seen = set()
+            for ref in refs:
+                seen.update(counts(ref, k))
+            for g in seen:
+                dfs[k - 1][g] = dfs[k - 1].get(g, 0) + 1
+
+    def tfidf(tokens, k):
+        vec = {}
+        for g, c in counts(tokens, k).items():
+            df = dfs[k - 1].get(g, 0)
+            if df > 0:
+                vec[g] = c * math.log(n_images / df)
+        return vec
+
+    def cosine(u, w):
+        nu = math.sqrt(math.fsum(x * x for x in u.values()))
+        nw = math.sqrt(math.fsum(x * x for x in w.values()))
+        if nu == 0.0 or nw == 0.0:
+            return 0.0
+        if u == w:
+            return 1.0
+        return math.fsum(u[g] * w[g] for g in u if g in w) / (nu * nw)
+
+    out = np.zeros(n_images, dtype=np.float64)
+    for i, (cand, refs) in enumerate(pairs):
+        per_n = []
+        for k in range(1, 5):
+            cv = tfidf(cand, k)
+            sims = [cosine(cv, tfidf(r, k)) for r in refs]
+            per_n.append(math.fsum(sims) / len(sims))
+        out[i] = 10.0 * math.fsum(per_n) / 4
+    return out
 
 
 def assert_match_scalar_oracle(rows, pairs, styles) -> None:

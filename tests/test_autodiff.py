@@ -8,7 +8,7 @@ import pytest
 
 from critiq import autodiff as ad
 from critiq.autodiff import DegenerateInputError, ShapeError, Tensor, backward
-from oracles import mean, softmax
+from oracles import formula_gelu, mean, softmax
 
 
 def t64(data, requires_grad=True):
@@ -354,6 +354,21 @@ def test_layer_norm_bitwise_equal_to_np_mean_formula(dtype, d):
     for name, x, y in zip(("out", "a", "gamma", "beta"), got, want):
         assert x.dtype == y.dtype == dtype, name
         assert x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(64, 16, 256), (7,), (3, 5, 33)])
+def test_gelu_bitwise_equal_to_formula(dtype, shape):
+    rng = np.random.default_rng(len(shape))
+    x, g = (rng.normal(scale=3.0, size=shape).astype(dtype) for _ in range(2))
+    x.reshape(-1)[:3] = (0.0, 1e-30, -40.0)       # zero, tiny, saturated tanh
+    a = Tensor(x, requires_grad=True)
+    out = ad.gelu(a)
+    backward(ad.sum_(ad.mul(out, Tensor(g))), leaves=[a])
+    want_out, want_grad = formula_gelu(x, g)
+    for name, got, want in (("out", out.data, want_out), ("grad", a.grad, want_grad)):
+        assert got.dtype == want.dtype == dtype, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_finite_diff_reports_non_finite_evaluations():

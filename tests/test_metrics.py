@@ -11,7 +11,7 @@ from scipy import stats
 from critiq.metrics import (average_precision, bleu_n, cider, cider_scores, plcc,
                             rouge_l, srcc)
 from oracles import (brute_force_ap, brute_force_bleu, brute_force_cider,
-                     brute_force_lcs, recounting_bleu_n)
+                     brute_force_lcs, recounting_bleu_n, recounting_cider_scores)
 
 
 class TestSrcc:
@@ -253,6 +253,22 @@ class TestCider:
                 pairs.append((cand, refs))
             np.testing.assert_allclose(cider_scores(pairs), brute_force_cider(pairs),
                                        atol=1e-9)
+
+    def test_bitwise_equal_to_recounting_oracle(self):
+        """Counting each reference once and reusing a repeated candidate's
+        vectors leaves every score's bytes as they were."""
+        rng = np.random.default_rng(12)
+        words = ["a", "b", "c", "d", "e", "f", "g"]
+
+        def sentence():
+            return " ".join(rng.choice(words, size=rng.integers(1, 9)))
+
+        for _ in range(20):
+            shared = [sentence() for _ in range(3)]      # candidates that repeat
+            pairs = [(shared[int(rng.integers(3))] if rng.random() < 0.5 else sentence(),
+                      [sentence() for _ in range(int(rng.integers(1, 4)))])
+                     for _ in range(int(rng.integers(2, 12)))]
+            assert cider_scores(pairs).tobytes() == recounting_cider_scores(pairs).tobytes()
 
     def test_single_image_corpus_flagged(self):
         with pytest.warns(UserWarning, match="degenerate"):

@@ -1,7 +1,9 @@
 """Model forward contracts: patch order, pooling against brute force,
 causality, normalization, caption decoding, and the parameter-count formula."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from critiq import autodiff as ad
 from critiq import model
 from critiq import tokenizer as tok
+from critiq import train
 from critiq.autodiff import Tensor
 from critiq.data import load_manifest, record_image_path
 from critiq.imageio import read_image
@@ -18,8 +21,8 @@ from critiq.model import (ModelConfig, ModelParams, PrefixCache, attentional_poo
 from critiq.synth import SynthSpec, generate_synthetic_corpus
 from critiq.train import caption_images, center_crop
 from critiq.zsl import embed_prompt
-from oracles import (encode_text_unimodal, stepwise_caption, uncached_greedy_caption,
-                     unfused_pool)
+from oracles import (encode_text_unimodal, gen_tokens, stepwise_caption,
+                     uncached_greedy_caption, unfused_pool)
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
                    encoder_layers=1, unimodal_layers=1, multimodal_layers=1,
@@ -35,13 +38,13 @@ def tiny_params():
 class TestPatchify:
     def test_single_patch(self):
         img = np.arange(64, dtype=np.float32).reshape(8, 8, 1)
-        out = patchify(img, 8)
+        out = patchify(img[None], 8)[0]
         assert out.shape == (1, 64)
         np.testing.assert_array_equal(out[0], img.reshape(-1))
 
     def test_ramp_row_zero_is_top_left(self):
         img = np.arange(32 * 32, dtype=np.float32).reshape(32, 32, 1)
-        out = patchify(img, 8)
+        out = patchify(img[None], 8)[0]
         assert out.shape == (16, 64)
         expected = img[:8, :8, 0].reshape(-1)
         np.testing.assert_array_equal(out[0], expected)
@@ -51,31 +54,31 @@ class TestPatchify:
         np.testing.assert_array_equal(out[4], img[8:16, :8, 0].reshape(-1))
 
     def test_constant_image_gives_identical_rows(self):
-        out = patchify(np.full((32, 32, 3), 0.5, dtype=np.float32), 8)
+        out = patchify(np.full((32, 32, 3), 0.5, dtype=np.float32)[None], 8)[0]
         assert (out == out[0]).all()
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ad.ShapeError, match="divisible"):
-            patchify(np.zeros((30, 30, 3), dtype=np.float32), 8)
+            patchify(np.zeros((30, 30, 3), dtype=np.float32)[None], 8)
 
 
 class TestEncodeImage:
     def test_bitwise_determinism(self, tiny_params):
         rng = np.random.default_rng(0)
         img = rng.random((16, 16, 3)).astype(np.float32)
-        a = encode_image(img, tiny_params, TINY).data
-        b = encode_image(img, tiny_params, TINY).data
+        a = encode_image(img[None], tiny_params, TINY).data[0]
+        b = encode_image(img[None], tiny_params, TINY).data[0]
         assert np.array_equal(a, b)
 
     def test_positional_sensitivity(self, tiny_params):
         rng = np.random.default_rng(1)
         img = rng.random((16, 16, 3)).astype(np.float32)
-        base = encode_image(img, tiny_params, TINY).data.copy()
+        base = encode_image(img[None], tiny_params, TINY).data[0].copy()
         pos = tiny_params["pos/image"]
         orig = pos.data.copy()
         try:
             pos.data = orig[::-1].copy()
-            permuted = encode_image(img, tiny_params, TINY).data
+            permuted = encode_image(img[None], tiny_params, TINY).data[0]
         finally:
             pos.data = orig
         assert not np.array_equal(base, permuted)
@@ -85,12 +88,12 @@ class TestEncodeImage:
         for name, t in params.items():
             if name != "log_tau" and not name.endswith("/g"):
                 t.data = np.zeros_like(t.data)
-        out = encode_image(np.zeros((16, 16, 3), dtype=np.float32), params, TINY)
-        assert np.isfinite(out.data).all()
+        out = encode_image(np.zeros((16, 16, 3), dtype=np.float32)[None], params, TINY)
+        assert np.isfinite(out.data[0]).all()
 
     def test_wrong_shape_rejected(self, tiny_params):
         with pytest.raises(ad.ShapeError, match="encode_image"):
-            encode_image(np.zeros((8, 8, 3), dtype=np.float32), tiny_params, TINY)
+            encode_image(np.zeros((8, 8, 3), dtype=np.float32)[None], tiny_params, TINY)
 
 
 class TestAttentionalPool:
@@ -102,8 +105,8 @@ class TestAttentionalPool:
         wv = Tensor(rng.normal(size=(d, d)))
         q1 = Tensor(rng.normal(size=(2, d)))
         q2 = Tensor(rng.normal(size=(2, d)))
-        out1 = attentional_pool(v, q1, wk, wv).data
-        out2 = attentional_pool(v, q2, wk, wv).data
+        out1 = attentional_pool(Tensor(v.data[None]), q1, wk, wv).data[0]
+        out2 = attentional_pool(Tensor(v.data[None]), q2, wk, wv).data[0]
         np.testing.assert_allclose(out1, out2, atol=1e-7)
         np.testing.assert_allclose(out1[0], (v.data @ wv.data)[0], atol=1e-6)
 
@@ -114,7 +117,7 @@ class TestAttentionalPool:
         v = Tensor(np.tile(row, (5, 1)))
         wk, wv = Tensor(rng.normal(size=(d, d))), Tensor(rng.normal(size=(d, d)))
         q = Tensor(rng.normal(size=(3, d)))
-        out = attentional_pool(v, q, wk, wv).data
+        out = attentional_pool(Tensor(v.data[None]), q, wk, wv).data[0]
         np.testing.assert_allclose(out, np.tile(row @ wv.data, (3, 1)), atol=1e-6)
 
     def test_matches_naive_attention(self):
@@ -124,9 +127,10 @@ class TestAttentionalPool:
         wk = rng.normal(size=(d, d))
         wv = rng.normal(size=(d, d))
         q = rng.normal(size=(n_q, d))
-        out = attentional_pool(Tensor(v.astype(np.float64)), Tensor(q.astype(np.float64)),
+        out = attentional_pool(Tensor(v.astype(np.float64)[None]),
+                               Tensor(q.astype(np.float64)),
                                Tensor(wk.astype(np.float64)),
-                               Tensor(wv.astype(np.float64))).data
+                               Tensor(wv.astype(np.float64))).data[0]
         # brute force: explicit softmax over scores
         keys, vals = v @ wk, v @ wv
         expected = np.zeros((n_q, d))
@@ -413,7 +417,7 @@ class TestDecodeCache:
         for _ in range(8):
             img = rng.random((16, 16, 3)).astype(np.float32)
             for max_len in (4, 16):
-                cap = generate_caption(img, params, DEEP, vocab, max_len=max_len)
+                cap = generate_caption(gen_tokens(img, params, DEEP), params, DEEP, vocab, max_len=max_len)
                 assert cap == uncached_greedy_caption(img, params, DEEP, vocab, max_len)
                 captions.append(cap)
         assert len(set(captions)) >= 4
@@ -459,7 +463,7 @@ class TestPrefixCache:
         vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
         shared = caption_images(params, vocab, corpus[0], corpus[1], max_len)
         images = self.crops(corpus)
-        fresh = [generate_caption(img, params, DEEP, vocab, max_len) for img in images]
+        fresh = [generate_caption(gen_tokens(img, params, DEEP), params, DEEP, vocab, max_len) for img in images]
         uncached = [uncached_greedy_caption(img, params, DEEP, vocab, max_len)
                     for img in images]
         assert shared == fresh == uncached
@@ -480,7 +484,7 @@ class TestPrefixCache:
             finished.append(caption), PrefixCache.remember(prefixes, caption, pooled))
         captions = {}
         for img in self.crops(corpus):
-            generate_caption(img, params, DEEP, vocab, 16, prefixes)
+            generate_caption(gen_tokens(img, params, DEEP), params, DEEP, vocab, 16, prefixes)
             captions[id(calls[-1][0])] = list(finished[-1])
         assert max(n for _, _, n, _, _, _ in calls) > 1
         rolled = 0
@@ -501,7 +505,7 @@ class TestPrefixCache:
         calls = self.recorded(monkeypatch)
         prefixes = PrefixCache(params)
         for img in self.crops(corpus):
-            generate_caption(img, params, DEEP, vocab, 16, prefixes)
+            generate_caption(gen_tokens(img, params, DEEP), params, DEEP, vocab, 16, prefixes)
         drafted = 0
         for _, fed, n, _, _, stored in calls:
             if n > 1:
@@ -516,7 +520,7 @@ class TestPrefixCache:
         calls = self.recorded(monkeypatch)
         prefixes = PrefixCache(params)
         for img in self.crops(corpus):
-            generate_caption(img, params, DEEP, vocab, 16, prefixes)
+            generate_caption(gen_tokens(img, params, DEEP), params, DEEP, vocab, 16, prefixes)
         fed = [f[:end] for _, f, n, _, _, _ in calls for end in range(len(f) - n + 1,
                                                                       len(f) + 1)]
         assert len(set(fed)) < len(fed)          # some positions were hits
@@ -527,7 +531,7 @@ class TestPrefixCache:
         vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
         prefixes = PrefixCache(params)
         for img in self.crops(corpus):
-            generate_caption(img, params, DEEP, vocab, 16, prefixes)
+            generate_caption(gen_tokens(img, params, DEEP), params, DEEP, vocab, 16, prefixes)
         with ad.no_grad():
             for prefix, row in prefixes.rows.items():
                 # its own (D,) array, not a view keeping a whole run alive
@@ -541,12 +545,22 @@ class TestPrefixCache:
         vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
         img = np.random.default_rng(3).random((16, 16, 3)).astype(np.float32)
         prefixes = PrefixCache(params)
-        generate_caption(img, params, DEEP, vocab, 4, prefixes)
+        generate_caption(gen_tokens(img, params, DEEP), params, DEEP, vocab, 4, prefixes)
         with pytest.raises(ValueError, match="other ModelParams"):
-            generate_caption(img, other, DEEP, vocab, 4, prefixes)
+            generate_caption(gen_tokens(img, other, DEEP), other, DEEP, vocab, 4, prefixes)
         copy = ModelParams(dict(params.items()), DEEP)
         with pytest.raises(ValueError, match="other ModelParams"):
-            generate_caption(img, copy, DEEP, vocab, 4, prefixes)
+            generate_caption(gen_tokens(img, copy, DEEP), copy, DEEP, vocab, 4, prefixes)
+
+
+@pytest.fixture(scope="module")
+def chunked_corpus(tmp_path_factory):
+    """70 records: one full chunk of `caption_images` and a partial one."""
+    root = tmp_path_factory.mktemp("chunks")
+    manifest = generate_synthetic_corpus(SynthSpec(count=70), str(root), 6)
+    records = load_manifest(manifest)
+    assert len(records) == 70 > train.EMBED_CHUNK
+    return records, manifest
 
 
 class TestDraftDecoding:
@@ -560,16 +574,17 @@ class TestDraftDecoding:
 
     @pytest.mark.parametrize("max_len", [4, 16])
     @pytest.mark.parametrize("order", ["record", "reversed"])
-    def test_captions_equal_oracles_in_both_orders(self, corpus, max_len, order):
+    def test_captions_equal_oracles_in_both_orders(self, chunked_corpus, max_len, order):
         params = deep_params(34)
         vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
-        records = corpus[0] if order == "record" else corpus[0][::-1]
-        drafted = caption_images(params, vocab, records, corpus[1], max_len)
-        images = self.crops((records, corpus[1]))
+        records, manifest = chunked_corpus
+        records = records if order == "record" else records[::-1]
+        drafted = caption_images(params, vocab, records, manifest, max_len)
+        images = self.crops((records, manifest))
         oracle = PrefixCache(params)
         stepwise = [stepwise_caption(img, params, DEEP, vocab, max_len, oracle)
                     for img in images]
-        fresh = [generate_caption(img, params, DEEP, vocab, max_len) for img in images]
+        fresh = [generate_caption(gen_tokens(img, params, DEEP), params, DEEP, vocab, max_len) for img in images]
         uncached = [uncached_greedy_caption(img, params, DEEP, vocab, max_len)
                     for img in images]
         assert drafted == stepwise == fresh == uncached
@@ -582,9 +597,9 @@ class TestDraftDecoding:
         images = self.crops(corpus)
         prefixes = PrefixCache(params)
         for img in images:                                          # long drafts
-            generate_caption(img, params, DEEP, vocab, 16, prefixes)
+            generate_caption(gen_tokens(img, params, DEEP), params, DEEP, vocab, 16, prefixes)
         calls = self.recorded(monkeypatch)
-        got = [generate_caption(img, params, DEEP, vocab, max_len, prefixes)
+        got = [generate_caption(gen_tokens(img, params, DEEP), params, DEEP, vocab, max_len, prefixes)
                for img in images]
         end = min(max_len + 1, DEEP.max_text_length)
         assert max(len(fed) for _, fed, _, _, _, _ in calls) <= end - 1
@@ -597,7 +612,7 @@ class TestDraftDecoding:
         vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
         calls = self.recorded(monkeypatch)
         for img in self.crops(corpus)[:4]:
-            generate_caption(img, params, DEEP, vocab, 16)
+            generate_caption(gen_tokens(img, params, DEEP), params, DEEP, vocab, 16)
         assert calls and all(n == 1 for _, _, n, _, _, _ in calls)
 
     def test_repeated_image_decodes_in_one_call(self, corpus, monkeypatch):
@@ -607,9 +622,9 @@ class TestDraftDecoding:
         calls = self.recorded(monkeypatch)
         prefixes = PrefixCache(params)
         for img in self.crops(corpus):
-            first = generate_caption(img, params, DEEP, vocab, 16, prefixes)
+            first = generate_caption(gen_tokens(img, params, DEEP), params, DEEP, vocab, 16, prefixes)
             before = len(calls)
-            assert generate_caption(img, params, DEEP, vocab, 16, prefixes) == first
+            assert generate_caption(gen_tokens(img, params, DEEP), params, DEEP, vocab, 16, prefixes) == first
             assert len(calls) == before + 1
 
     def test_draft_is_the_nearest_caption_extending_the_prefix(self):
@@ -635,28 +650,87 @@ class TestDraftDecoding:
         prefixes.remember((1, 8, 2), a)
         prefixes.remember((1, 7, 2), b)
         assert prefixes.captions == [(1, 7, 2), (1, 8, 2)]
-        assert prefixes.pooled[0] is b and prefixes.pooled[1] is a
+        assert prefixes.pooled[:2].tobytes() == np.stack([b, a]).tobytes()
+        # stored as copies: writing to an image's tokens afterwards changes nothing
+        a[...], b[...] = 9.0, 9.0
+        np.testing.assert_array_equal(prefixes.distances(np.ones((3, 2))), [0.0, 6.0])
         assert prefixes.extending[(1,)] == [0, 1]
+
+    def test_distances_bitwise_equal_to_stacked_tokens(self):
+        """Across the doublings of the stored-token array and overwrites of
+        stored captions, the distances equal the formula on a fresh stack of
+        each caption's newest tokens, byte for byte."""
+        params = deep_params(34)
+        shape = (DEEP.generative_pool_queries, DEEP.hidden_dim)
+        rng = np.random.default_rng(40)
+        prefixes, newest = PrefixCache(params), {}
+        for _ in range(80):
+            caption = (tok.BOS,) + tuple(int(t) for t in rng.integers(4, 9, size=2))
+            pooled = rng.normal(size=shape).astype(np.float32)
+            prefixes.remember(caption, pooled)
+            newest[caption] = pooled
+            query = rng.normal(size=shape).astype(np.float32)
+            stacked = np.stack([newest[c] for c in prefixes.captions])
+            assert prefixes.distances(query).tobytes() == \
+                ((stacked - query) ** 2).sum(axis=(1, 2)).tobytes()
+        assert 16 < len(prefixes.captions) < 80        # grown past 16 rows, and overwritten
+
+
+class TestChunkedCaptions:
+    """`caption_images` encodes and pools each chunk of crops in one pass and
+    captions its rows one by one."""
+
+    def test_pooled_tokens_equal_one_image_encoding(self, chunked_corpus, monkeypatch):
+        params = deep_params(34)
+        vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
+        seen, caches = [], []
+        inner = train.generate_caption
+
+        def wrapper(pooled, *args, **kwargs):
+            seen.append((pooled.copy(), weakref.ref(pooled.base)))
+            return inner(pooled, *args, **kwargs)
+
+        class Kept(PrefixCache):
+            def __init__(self, params):
+                super().__init__(params)
+                caches.append(self)
+
+        monkeypatch.setattr(train, "generate_caption", wrapper)
+        monkeypatch.setattr(train, "PrefixCache", Kept)
+        caption_images(params, vocab, *chunked_corpus, 16)
+        images = TestPrefixCache.crops(chunked_corpus)
+        assert len(seen) == len(images) and len(caches) == 1
+        for i, ((pooled, _), img) in enumerate(zip(seen, images)):
+            assert pooled.tobytes() == gen_tokens(img, params, DEEP).tobytes(), i
+        # the shared cache outlives the run but holds no chunk's pooled array
+        gc.collect()
+        assert caches[0].captions and all(ref() is None for _, ref in seen)
+
+    def test_pooled_tokens_of_other_shape_rejected(self, tiny_params):
+        vocab = tok.Vocabulary(["good", "image"])
+        con = np.zeros((1, TINY.hidden_dim), dtype=np.float32)
+        with pytest.raises(ad.ShapeError, match="generate_caption"):
+            generate_caption(con, tiny_params, TINY, vocab)
 
 
 class TestGenerateCaption:
     def test_max_len_one(self, tiny_params):
         vocab = tok.Vocabulary(["good", "image"])
         img = np.random.default_rng(14).random((16, 16, 3)).astype(np.float32)
-        cap = generate_caption(img, tiny_params, TINY, vocab, max_len=1)
+        cap = generate_caption(gen_tokens(img, tiny_params, TINY), tiny_params, TINY, vocab, max_len=1)
         assert len(cap.split()) <= 1
 
     @pytest.mark.parametrize("max_len", [0, -3])
     def test_max_len_below_one_rejected(self, tiny_params, max_len):
         img = np.zeros((16, 16, 3), dtype=np.float32)
         with pytest.raises(ValueError, match="max_len"):
-            generate_caption(img, tiny_params, TINY, tok.Vocabulary(["good"]), max_len)
+            generate_caption(gen_tokens(img, tiny_params, TINY), tiny_params, TINY, tok.Vocabulary(["good"]), max_len)
 
     def test_deterministic(self, tiny_params):
         vocab = tok.Vocabulary(["good", "image", "bad", "light"])
         img = np.random.default_rng(15).random((16, 16, 3)).astype(np.float32)
-        a = generate_caption(img, tiny_params, TINY, vocab)
-        b = generate_caption(img, tiny_params, TINY, vocab)
+        a = generate_caption(gen_tokens(img, tiny_params, TINY), tiny_params, TINY, vocab)
+        b = generate_caption(gen_tokens(img, tiny_params, TINY), tiny_params, TINY, vocab)
         assert a == b
 
 

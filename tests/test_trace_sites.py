@@ -4,9 +4,12 @@
 the benchmark's caption and zero-shot timings come from calls made through
 those names. This installs the tracer over every site, runs a tiny evaluate
 for `caption`, `zsl-iaa` and `zsl-style`, and checks that the spans show up.
+Captions encode each chunk of images once, as `embed_images` does.
 Zero-shot scoring makes one scorer call per task over all images, so the
 benchmark's zero-shot span list is never empty. A traced tiny pretraining
 checks the same for the phases of each pretraining step."""
+
+import math
 
 import pytest
 
@@ -34,9 +37,12 @@ def backbone(tmp_path_factory):
     return out, manifest
 
 
-def test_every_site_traced_through_evaluate(backbone):
+def test_every_site_traced_through_evaluate(backbone, monkeypatch):
     out, manifest = backbone
     n = len(load_manifest(manifest))
+    monkeypatch.setattr(train, "EMBED_CHUNK", 4)      # a full chunk and a partial one
+    chunks = math.ceil(n / train.EMBED_CHUNK)
+    assert chunks == 2
     tracer = Tracer()
     tracer.install(SITES)
     try:
@@ -56,6 +62,12 @@ def test_every_site_traced_through_evaluate(backbone):
     assert names.count("zsl.zsl_style_scores") == 1
     assert names.count("zsl.zsl_iaa_single") == 0
     assert names.count("imageio.read_image") == 2 * n
+    # captions encode each chunk of crops once, outside the per-image decode;
+    # embed_images encodes the same chunks for the zero-shot tasks
+    encodes = [i for i, name in enumerate(names) if name == "model.encode_image"]
+    assert len(encodes) == 2 * chunks
+    assert sum(parents[i] == "train.evaluate" for i in encodes) == chunks
+    assert all(parents[i] != "model.generate_caption" for i in encodes)
     # each decode call feeds the newest token and maybe a draft after it, and
     # takes at least one token or the end of the caption
     decodes = [i for i, s in enumerate(tracer.spans) if s.name == "model.decode_multimodal"

@@ -28,8 +28,8 @@ from critiq.synth import SynthSpec, generate_synthetic_corpus
 from critiq.train import (RunLog as RunLogBytes, adapter_finetune, caption_images,
                           center_crop, embed_images, evaluate, export_prompt_cache, load_adapter,
                           pretrain, pretrain_step_loss, vocab_path_for, zsl_score_lines)
-from oracles import (assert_arena_views, assert_match_scalar_oracle, sha256_file,
-                     stepwise_caption, uncached_greedy_caption)
+from oracles import (assert_arena_views, assert_match_scalar_oracle, gen_tokens,
+                     sha256_file, stepwise_caption, uncached_greedy_caption)
 
 TINY = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
                    encoder_layers=1, unimodal_layers=1, multimodal_layers=1,
@@ -435,7 +435,7 @@ class TestEvaluate:
         _, results = evaluate(out, corpus, ["caption"])
         images = [center_crop(read_image(record_image_path(r, corpus)), TINY.image_size)
                   for r in load_manifest(corpus)]
-        fresh = [generate_caption(img, params, TINY, vocab) for img in images]
+        fresh = [generate_caption(gen_tokens(img, params, TINY), params, TINY, vocab) for img in images]
         uncached = [uncached_greedy_caption(img, params, TINY, vocab, 16) for img in images]
         assert results["caption"]["captions"] == fresh == uncached
 
