@@ -288,18 +288,18 @@ def _linear(x: Tensor, params: ModelParams, w: str, b: str) -> Tensor:
     return ad.linear(x, params[w], params[b])
 
 
-def _attention(x: Tensor, params: ModelParams, prefix: str, n_heads: int,
-               mask: np.ndarray | None = None, memory: Tensor | None = None,
-               cache: dict | None = None) -> Tensor:
-    """Multi-head attention from x to itself, or to `memory` when given.
+def _attention(q: Tensor, src: Tensor, params: ModelParams, prefix: str, n_heads: int,
+               mask: np.ndarray | None = None, cache: dict | None = None,
+               cross: bool = False) -> Tensor:
+    """Multi-head attention of the projected queries `q` to the keys and values
+    projected from `src`: the queries' own normed input, or with `cross` the
+    pooled image tokens.
 
     With a `cache`, the keys and values stored under `prefix` are reused:
-    self-attention appends x's own to them, cross-attention projects
-    `memory` only on the first call."""
-    q = _linear(x, params, f"{prefix}/wq", f"{prefix}/bq")
+    self-attention appends its new ones to them, cross-attention projects
+    `src` only on the first call."""
     kv = None if cache is None else cache.get(prefix)
-    if kv is None or memory is None:
-        src = x if memory is None else memory
+    if kv is None or not cross:
         k = _linear(src, params, f"{prefix}/wk", f"{prefix}/bk")
         v = _linear(src, params, f"{prefix}/wv", f"{prefix}/bv")
         if kv is not None:
@@ -317,17 +317,37 @@ def _mlp(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
     return _linear(h, params, f"{prefix}/w2", f"{prefix}/b2")
 
 
-def _block(x: Tensor, params: ModelParams, prefix: str, n_heads: int,
-           mask: np.ndarray | None = None, memory: Tensor | None = None,
-           cache: dict | None = None) -> Tensor:
+def _to_cross(x: Tensor, params: ModelParams, prefix: str, n_heads: int,
+               mask: np.ndarray | None = None, cross: bool = False,
+               cache: dict | None = None) -> tuple[Tensor, Tensor | None]:
+    """A block up to its cross-attention: the residual after the self-attention
+    sublayer and, with `cross`, the cross-attention query (else None). In the
+    decoder neither depends on the image."""
     h = ad.layer_norm(x, params[f"{prefix}/ln1/g"], params[f"{prefix}/ln1/b"])
-    x = ad.add(x, _attention(h, params, f"{prefix}/attn", n_heads, mask, cache=cache))
+    q = _linear(h, params, f"{prefix}/attn/wq", f"{prefix}/attn/bq")
+    x = ad.add(x, _attention(q, h, params, f"{prefix}/attn", n_heads, mask, cache))
+    if not cross:
+        return x, None
+    h = ad.layer_norm(x, params[f"{prefix}/lnx/g"], params[f"{prefix}/lnx/b"])
+    return x, _linear(h, params, f"{prefix}/xattn/wq", f"{prefix}/xattn/bq")
+
+
+def _from_cross(x: Tensor, q: Tensor | None, params: ModelParams, prefix: str,
+                n_heads: int, memory: Tensor | None = None,
+                cache: dict | None = None) -> Tensor:
+    """The rest of a block from its cross-attention: that of `q` to
+    `memory`, when given, then the MLP sublayer."""
     if memory is not None:
-        h = ad.layer_norm(x, params[f"{prefix}/lnx/g"], params[f"{prefix}/lnx/b"])
-        x = ad.add(x, _attention(h, params, f"{prefix}/xattn", n_heads, memory=memory,
-                                 cache=cache))
+        x = ad.add(x, _attention(q, memory, params, f"{prefix}/xattn", n_heads,
+                                 cache=cache, cross=True))
     h = ad.layer_norm(x, params[f"{prefix}/ln2/g"], params[f"{prefix}/ln2/b"])
     return ad.add(x, _mlp(h, params, f"{prefix}/mlp"))
+
+
+def _block(x: Tensor, params: ModelParams, prefix: str, n_heads: int,
+           mask: np.ndarray | None = None) -> Tensor:
+    """A pre-LN self-attention block (encoder and unimodal stacks)."""
+    return _from_cross(*_to_cross(x, params, prefix, n_heads, mask), params, prefix, n_heads)
 
 
 def _causal_mask(l: int, start: int) -> np.ndarray | None:
@@ -413,18 +433,32 @@ def image_embedding_batch(images, params: ModelParams, cfg: ModelConfig) -> Tens
     return ad.reshape(pooled, (pooled.shape[0], pooled.shape[2]))
 
 
-class PrefixCache:
-    """Unimodal text-decoder outputs by token prefix, bound to one `ModelParams`,
-    and the captions already decoded with them.
+def _text_state(x: Tensor, params: ModelParams, cfg: ModelConfig,
+                mask: np.ndarray | None) -> tuple[Tensor, Tensor | None]:
+    """The caption decoder's text-only state from the unimodal output `x`:
+    mm/0's residual after self-attention and its cross-attention query, the
+    two inputs of that layer's cross-attention. Without multimodal layers it
+    is `x` itself, with no query."""
+    if not cfg.multimodal_layers:
+        return x, None
+    return _to_cross(x, params, "mm/0", cfg.n_heads, mask, cross=True)
 
-    The unimodal stack never sees the image, so its final-LN output at a
-    prefix's last position is the same for every image: one cache shared by
-    the captions of a run keeps that (D,) row per distinct prefix, and a miss
-    runs the stack once over the whole prefix. It also keeps each distinct
-    finished caption ([BOS] + words, + EOS if the model ended it) with a copy
-    of the pooled generative image tokens of the last image that gave it;
-    later images draft from them (see `generate_caption`). The params must
-    not change while the cache is in use."""
+
+class PrefixCache:
+    """The caption decoder's text-only state by token prefix, bound to one
+    `ModelParams`, and the captions already decoded with it.
+
+    Up to mm/0's cross-attention the decoder never sees the image, so its
+    state at a prefix's last position (see `_text_state`) is the same for
+    every image. One cache shared by the captions of a run keeps it per
+    distinct prefix as a (2, D) row, the residual above the query: 2·D
+    floats, 512 bytes at the default sizes ((1, D), the unimodal output, for
+    a model without multimodal layers). A miss runs the unimodal stack and
+    mm/0's text-only half once over the whole prefix. The cache also keeps
+    each distinct finished caption ([BOS] + words, + EOS if the model ended
+    it) with a copy of the pooled generative image tokens of the last image
+    that gave it; later images draft from them (see `generate_caption`).
+    The params must not change while the cache is in use."""
 
     def __init__(self, params: ModelParams):
         self.params = params
@@ -435,10 +469,11 @@ class PrefixCache:
         self.index: dict[tuple[int, ...], int] = {}      # caption -> its row in both
         self.extending: dict[tuple[int, ...], list[int]] = {}  # prefix -> longer captions
 
-    def outputs(self, seq: list[int], start: int, params: ModelParams,
-                cfg: ModelConfig) -> Tensor:
-        """The unimodal output at positions start, start+1, ... of `seq`,
-        (1, len(seq) - start, D), one stored row per position's prefix."""
+    def states(self, seq: list[int], start: int, params: ModelParams,
+               cfg: ModelConfig) -> tuple[Tensor, Tensor | None]:
+        """The text-only state at positions start, start+1, ... of `seq`, each
+        part (1, len(seq) - start, D), from one stored row per position's
+        prefix."""
         if params is not self.params:
             raise ValueError("prefix cache was built for other ModelParams")
         out = []
@@ -447,9 +482,12 @@ class PrefixCache:
             row = self.rows.get(prefix)
             if row is None:
                 x = _run_unimodal(np.asarray([prefix], dtype=np.int64), params, cfg)
-                row = self.rows[prefix] = x.data[0, -1].copy()
+                state = _text_state(x, params, cfg, _causal_mask(end, 0))
+                row = self.rows[prefix] = np.stack([t.data[0, -1] for t in state
+                                                    if t is not None])
             out.append(row)
-        return Tensor(np.stack(out)[None])
+        parts = np.stack(out, axis=1)[:, None]            # (1 or 2, 1, L, D)
+        return Tensor(parts[0]), Tensor(parts[1]) if len(parts) == 2 else None
 
     def remember(self, caption: tuple[int, ...], pooled: np.ndarray) -> None:
         """Store a finished caption with a copy of the pooled image tokens that
@@ -493,10 +531,12 @@ def decode_multimodal(tokens, pooled_v: Tensor, params: ModelParams,
     `cache` is a dict the caller owns for one image's sequence, empty at the
     first call but for an optional `PrefixCache` under "prefixes" (a fresh one
     is made otherwise). With one, each call feeds only the tokens that follow
-    those already fed: the unimodal outputs come from the prefix cache, and the
-    multimodal keys and values of earlier positions (the only key/value cache)
-    are reused instead of recomputed. Cached arrays are cut from the graph, so
-    a cache needs `ad.no_grad()`.
+    those already fed: the text-only state comes from the prefix cache, so
+    mm/0 starts at its cross-attention, and the self-attention keys and values
+    of earlier positions in layers mm/1, mm/2, ... (the only per-image
+    key/value cache beside the projected image tokens) are reused instead of
+    recomputed. Cached arrays are cut from the graph, so a cache needs
+    `ad.no_grad()`.
 
     `unimodal`, without a cache, is the unimodal output at a token batch
     (N, L, D) that the caller already ran (see `encode_text_views`); the
@@ -514,30 +554,30 @@ def decode_multimodal(tokens, pooled_v: Tensor, params: ModelParams,
     if ids.ndim != 2 or ids.shape[0] != pooled_v.shape[0]:
         raise ad.ShapeError(f"decode_multimodal: token batch {ids.shape} does not match "
                             f"pooled image batch {pooled_v.shape}")
+    start = 0 if cache is None else len(cache.get("tokens", []))
+    mask = _causal_mask(ids.shape[-1], start)
     if unimodal is not None:
         if cache is not None or unimodal.shape[:-1] != ids.shape:
             raise ad.ShapeError(f"decode_multimodal: unimodal output {unimodal.shape} "
                                 f"does not match token batch {ids.shape}, or comes "
                                 "with a cache")
-        start, x = 0, unimodal
+        x, q = _text_state(unimodal, params, cfg, mask)
     elif cache is None:
-        start = 0
-        x = _run_unimodal(ids, params, cfg)
+        x, q = _text_state(_run_unimodal(ids, params, cfg), params, cfg, mask)
     else:
         if ids.shape[0] != 1:
             raise ad.ShapeError(f"decode_multimodal: a cache holds one sequence, "
                                 f"got a batch of {ids.shape[0]}")
         if "prefixes" not in cache:
             cache["prefixes"] = PrefixCache(params)
-        fed = cache.get("tokens", [])
-        start = len(fed)
-        seq = fed + ids[0].tolist()
-        x = cache["prefixes"].outputs(seq, start, params, cfg)
+        seq = cache.get("tokens", []) + ids[0].tolist()
+        x, q = cache["prefixes"].states(seq, start, params, cfg)
         cache["tokens"] = seq
-    mask = _causal_mask(ids.shape[-1], start)
     for i in range(cfg.multimodal_layers):
-        x = _block(x, params, f"mm/{i}", cfg.n_heads, mask=mask, memory=pooled_v,
-                   cache=cache)
+        if i:
+            x, q = _to_cross(x, params, f"mm/{i}", cfg.n_heads, mask, cross=True,
+                             cache=cache)
+        x = _from_cross(x, q, params, f"mm/{i}", cfg.n_heads, pooled_v, cache)
     x = ad.layer_norm(x, params["mm/ln_f/g"], params["mm/ln_f/b"])
     logits = _linear(x, params, "head/w", "head/b")
     return ad.index(logits, 0) if single else logits
@@ -550,8 +590,10 @@ def check_max_len(max_len: int) -> None:
 
 def _rollback(cache: dict, keep: int) -> None:
     """Cut a per-image decode cache back to its first `keep` fed positions:
-    the tokens and each self-attention key/value pair. Cross-attention
-    entries stay, as their axis 1 is the pooled image queries."""
+    the tokens and the self-attention keys and values of layers mm/1, mm/2,
+    ..., the only ones it holds (mm/0's text-only state is in the prefix
+    cache, whose rows stay valid). Cross-attention entries stay, as their
+    axis 1 is the pooled image queries."""
     del cache["tokens"][keep:]
     for name, kv in cache.items():
         if name.endswith("/attn"):
@@ -574,7 +616,7 @@ def generate_caption(pooled, params: ModelParams, cfg: ModelConfig,
     per-position argmax is kept, with the argmax after it, and the cache is
     cut back past the first mismatch, so the caption is the one that
     one-token greedy steps give. Pass one `prefixes` cache to the calls for
-    many images to share their unimodal states and their captions; a fresh
+    many images to share their text-only states and their captions; a fresh
     one is made if none is given."""
     check_max_len(max_len)
     pooled = np.asarray(pooled)

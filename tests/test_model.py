@@ -1,6 +1,7 @@
 """Model forward contracts: patch order, pooling against brute force,
 causality, normalization, caption decoding, and the parameter-count formula."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -369,12 +370,14 @@ DEEP = ModelConfig(image_size=16, patch_size=8, hidden_dim=16, n_heads=2,
                    encoder_layers=1, unimodal_layers=2, multimodal_layers=2,
                    mlp_dim=32, generative_pool_queries=3, vocab_size=32,
                    max_text_length=10)
+# no multimodal layer: the decoder's text-only state is the unimodal output
+FLAT = dataclasses.replace(DEEP, multimodal_layers=0)
 
 
-def deep_params(seed: int, dtype=np.float32) -> ModelParams:
-    """DEEP parameters with every weight matrix drawn from N(0, 1/fan_in): at
+def deep_params(seed: int, dtype=np.float32, cfg: ModelConfig = DEEP) -> ModelParams:
+    """`cfg` parameters with every weight matrix drawn from N(0, 1/fan_in): at
     the 0.02 init, greedy captions hardly depend on the image."""
-    params = ModelParams.initialize(DEEP, seed=seed, dtype=dtype)
+    params = ModelParams.initialize(cfg, seed=seed, dtype=dtype)
     rng = np.random.default_rng(seed)
     for t in params.tensors.values():
         if t.data.ndim == 2:
@@ -527,18 +530,54 @@ class TestPrefixCache:
         assert set(prefixes.rows) == set(fed)
 
     def test_rows_owned_and_from_full_prefix_runs(self, corpus):
+        """Each row is mm/0's cross-attention input at its prefix's last
+        position in a full-prefix run: the residual after the unimodal stack
+        and mm/0's self-attention sublayer, above that layer's query."""
         params = deep_params(34)
         vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
         prefixes = PrefixCache(params)
         for img in self.crops(corpus):
             generate_caption(gen_tokens(img, params, DEEP), params, DEEP, vocab, 16, prefixes)
+
+        def linear(x, name, which):
+            return ad.linear(x, params[f"{name}/w{which}"], params[f"{name}/b{which}"])
+
         with ad.no_grad():
             for prefix, row in prefixes.rows.items():
-                # its own (D,) array, not a view keeping a whole run alive
-                assert row.shape == (DEEP.hidden_dim,) and row.base is None
-                full = model._run_unimodal(np.asarray([prefix]), params, DEEP)
-                assert row.tobytes() == full.data[0, -1].tobytes()
+                # its own (2, D) array, not a view keeping a whole run alive
+                assert row.shape == (2, DEEP.hidden_dim) and row.base is None
+                x = model._run_unimodal(np.asarray([prefix]), params, DEEP)
+                h = ad.layer_norm(x, params["mm/0/ln1/g"], params["mm/0/ln1/b"])
+                att = ad.attention(*(linear(h, "mm/0/attn", w) for w in "qkv"), DEEP.n_heads,
+                                   model._causal_mask(len(prefix), 0))
+                r = ad.add(x, linear(att, "mm/0/attn", "o"))
+                h = ad.layer_norm(r, params["mm/0/lnx/g"], params["mm/0/lnx/b"])
+                q = linear(h, "mm/0/xattn", "q")
+                assert row.tobytes() == np.stack([r.data[0, -1], q.data[0, -1]]).tobytes()
         assert {len(p) for p in prefixes.rows} == set(range(1, DEEP.max_text_length))
+
+    def test_image_cache_holds_self_attention_from_mm1_on(self, corpus, monkeypatch):
+        """mm/0's self-attention lives in the prefix rows, so a per-image cache
+        keeps self-attention keys and values from mm/1 on only, cut back with
+        the tokens it holds."""
+        params = deep_params(34)
+        vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
+        calls = self.recorded(monkeypatch)
+        kept, rollback = [], model._rollback
+
+        def cut(cache, keep):
+            rollback(cache, keep)
+            kept.append([t.shape[1] for t in cache["mm/1/attn"]] == [keep, keep])
+
+        monkeypatch.setattr(model, "_rollback", cut)
+        prefixes = PrefixCache(params)
+        for img in self.crops(corpus):
+            generate_caption(gen_tokens(img, params, DEEP), params, DEEP, vocab, 16, prefixes)
+        for cache, *_ in calls:
+            assert set(cache) == {"prefixes", "tokens", "mm/0/xattn", "mm/1/attn",
+                                  "mm/1/xattn"}
+            assert all(t.shape[1] == len(cache["tokens"]) for t in cache["mm/1/attn"])
+        assert kept and all(kept)
 
     def test_cache_bound_to_its_params(self):
         params, other = deep_params(34), deep_params(35)
@@ -575,20 +614,25 @@ class TestDraftDecoding:
     @pytest.mark.parametrize("max_len", [4, 16])
     @pytest.mark.parametrize("order", ["record", "reversed"])
     def test_captions_equal_oracles_in_both_orders(self, chunked_corpus, max_len, order):
-        params = deep_params(34)
         vocab = tok.Vocabulary([f"w{i}" for i in range(DEEP.vocab_size)])
         records, manifest = chunked_corpus
         records = records if order == "record" else records[::-1]
-        drafted = caption_images(params, vocab, records, manifest, max_len)
         images = self.crops((records, manifest))
-        oracle = PrefixCache(params)
-        stepwise = [stepwise_caption(img, params, DEEP, vocab, max_len, oracle)
-                    for img in images]
-        fresh = [generate_caption(gen_tokens(img, params, DEEP), params, DEEP, vocab, max_len) for img in images]
-        uncached = [uncached_greedy_caption(img, params, DEEP, vocab, max_len)
-                    for img in images]
-        assert drafted == stepwise == fresh == uncached
-        assert len(set(drafted)) >= 6
+        for cfg in (DEEP, FLAT):
+            params = deep_params(34, cfg=cfg)
+            drafted = caption_images(params, vocab, records, manifest, max_len)
+            oracle = PrefixCache(params)
+            stepwise = [stepwise_caption(img, params, cfg, vocab, max_len, oracle)
+                        for img in images]
+            fresh = [generate_caption(gen_tokens(img, params, cfg), params, cfg, vocab, max_len)
+                     for img in images]
+            uncached = [uncached_greedy_caption(img, params, cfg, vocab, max_len)
+                        for img in images]
+            assert drafted == stepwise == fresh == uncached
+            if cfg.multimodal_layers:
+                assert len(set(drafted)) >= 6
+            else:                        # nothing cross-attends to the image
+                assert len(set(drafted)) == 1 and drafted[0]
 
     @pytest.mark.parametrize("max_len", [4, 16])
     def test_calls_stay_inside_max_len_and_text_length(self, corpus, monkeypatch, max_len):
